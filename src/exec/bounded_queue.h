@@ -16,23 +16,15 @@
 #ifndef TABBIN_EXEC_BOUNDED_QUEUE_H_
 #define TABBIN_EXEC_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace tabbin {
-
-/// \brief Outcome of a conditional (coalescing) dequeue attempt.
-enum class DequeueIf {
-  kPopped,    ///< front matched the predicate and was dequeued into *out
-  kRejected,  ///< front exists but the predicate declined it (batch ends)
-  kTimeout,   ///< deadline passed with the queue empty
-  kClosed,    ///< closed and fully drained
-};
 
 template <typename T>
 class BoundedQueue {
@@ -67,28 +59,25 @@ class BoundedQueue {
     return out;
   }
 
-  /// \brief Coalescing dequeue: pops the front into *out iff
-  /// pred(front), waiting until `deadline` for an item to appear. The
-  /// kRejected outcome leaves the incompatible front in place — it
-  /// becomes the head of the consumer's next batch.
-  template <typename Pred>
-  DequeueIf WaitDequeueIfUntil(const Pred& pred,
-                               std::chrono::steady_clock::time_point deadline,
-                               T* out) TABBIN_EXCLUDES(mu_) {
+  /// \brief Coalescing dequeue: blocks for the next item, then also
+  /// takes the items queued directly behind it while
+  /// `joins(first, next)` holds, `max` in all (at least one). It never
+  /// waits for more to arrive — a run is what was already queued — and
+  /// the first declined item stays at the front as the head of the next
+  /// run. Empty once closed AND drained.
+  template <typename Joins>
+  std::vector<T> WaitDequeueRun(size_t max, const Joins& joins)
+      TABBIN_EXCLUDES(mu_) {
+    std::vector<T> run;
     MutexLock lock(&mu_);
-    for (;;) {
-      if (!items_.empty()) {
-        if (!pred(items_.front())) return DequeueIf::kRejected;
-        *out = std::move(items_.front());
-        items_.pop_front();
-        return DequeueIf::kPopped;
-      }
-      if (closed_) return DequeueIf::kClosed;
-      if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout &&
-          items_.empty()) {
-        return DequeueIf::kTimeout;
-      }
+    while (items_.empty() && !closed_) cv_.wait(mu_);
+    while (!items_.empty() &&
+           (run.empty() ||
+            (run.size() < max && joins(run.front(), items_.front())))) {
+      run.push_back(std::move(items_.front()));
+      items_.pop_front();
     }
+    return run;
   }
 
   /// \brief Stops admissions (TryEnqueue fails from now on) and wakes

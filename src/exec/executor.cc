@@ -7,14 +7,6 @@ namespace tabbin {
 
 namespace {
 
-ExecutorOptions Sanitize(ExecutorOptions o) {
-  if (o.max_batch == 0) o.max_batch = 1;
-  if (o.coalesce_window.count() < 0) {
-    o.coalesce_window = std::chrono::microseconds{0};
-  }
-  return o;
-}
-
 bool Coalescable(JobKind kind) {
   return kind == JobKind::kSimilarColumns ||
          kind == JobKind::kSimilarTables ||
@@ -30,7 +22,7 @@ Status Rejected(const char* lane) {
 
 AsyncExecutor::AsyncExecutor(TabBinServing* serving, ExecutorOptions options)
     : serving_(serving),
-      options_(Sanitize(options)),
+      options_(options),
       read_queue_(options_.read_queue_depth),
       write_queue_(options_.write_queue_depth) {
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -45,12 +37,6 @@ void AsyncExecutor::Shutdown() {
     if (shutdown_) return;
     shutdown_ = true;
   }
-  // Release a paused dispatcher first: a parked dispatcher cannot drain.
-  {
-    MutexLock lock(&pause_mu_);
-    pause_requested_.store(false, std::memory_order_release);
-  }
-  pause_cv_.notify_all();
   // Closing stops admissions; both loops drain what was already
   // admitted (every promise gets satisfied), then exit.
   read_queue_.Close();
@@ -197,84 +183,21 @@ AsyncExecutor::Stats AsyncExecutor::stats() const {
   return stats_;
 }
 
-// --- Pause seam ------------------------------------------------------------
-
-void AsyncExecutor::PauseDispatchForTesting() {
-  {
-    MutexLock lock(&shutdown_mu_);
-    if (shutdown_) return;  // dispatcher is gone; nothing to park
-  }
-  MutexLock lock(&pause_mu_);
-  pause_requested_.store(true, std::memory_order_release);
-  // Wait until the dispatcher is actually parked: from the moment this
-  // returns, no read job leaves the queue, so a test can fill the lane
-  // to exactly its capacity. Shutdown releases the park, and with it
-  // this wait (pause_acked_ then stays false).
-  while (!pause_acked_ &&
-         pause_requested_.load(std::memory_order_acquire)) {
-    pause_cv_.wait(pause_mu_);
-  }
-}
-
-void AsyncExecutor::ResumeDispatchForTesting() {
-  {
-    MutexLock lock(&pause_mu_);
-    pause_requested_.store(false, std::memory_order_release);
-  }
-  pause_cv_.notify_all();
-}
-
-void AsyncExecutor::PausePoint() {
-  if (!pause_requested_.load(std::memory_order_acquire)) return;
-  MutexLock lock(&pause_mu_);
-  pause_acked_ = true;
-  pause_cv_.notify_all();
-  while (pause_requested_.load(std::memory_order_acquire)) {
-    pause_cv_.wait(pause_mu_);
-  }
-  pause_acked_ = false;
-}
-
 // --- Dispatcher (read lane) ------------------------------------------------
 
 void AsyncExecutor::DispatcherLoop() {
   for (;;) {
-    PausePoint();
-    Job head;
-    // Short idle poll instead of an indefinite block: the dispatcher
-    // must notice a pause request even when no job ever arrives, and a
-    // pending pause must not let it consume the job that triggered the
-    // wakeup (the predicate refuses while a pause is requested).
-    const auto poll_deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-    const DequeueIf got = read_queue_.WaitDequeueIfUntil(
-        [this](const Job&) {
-          return !pause_requested_.load(std::memory_order_acquire);
-        },
-        poll_deadline, &head);
-    if (got == DequeueIf::kClosed) return;  // closed AND drained
-    if (got != DequeueIf::kPopped) continue;  // idle poll or pause pending
-
-    std::vector<Job> batch;
-    batch.push_back(std::move(head));
-    if (Coalescable(batch.front().kind)) {
-      // Linger up to the coalesce window for more jobs of the same
-      // kind. An incompatible job at the front ends the batch and
-      // stays queued as the next head — jobs are never reordered, so
-      // a caller that observed response A before submitting B still
-      // sees A's effects ordered before B.
-      const JobKind kind = batch.front().kind;
-      const auto window_deadline =
-          std::chrono::steady_clock::now() + options_.coalesce_window;
-      while (batch.size() < options_.max_batch) {
-        Job next;
-        const DequeueIf more = read_queue_.WaitDequeueIfUntil(
-            [kind](const Job& j) { return j.kind == kind; },
-            window_deadline, &next);
-        if (more != DequeueIf::kPopped) break;
-        batch.push_back(std::move(next));
-      }
-    }
+    // Blocks on the queue's own condition variable until a job arrives
+    // or the lane closes. The batch is the head plus the same-kind
+    // Similar* jobs queued right behind it; an incompatible job ends it
+    // and stays queued as the next head — jobs are never reordered, so
+    // a caller that observed response A before submitting B still sees
+    // A's effects ordered before B.
+    std::vector<Job> batch = read_queue_.WaitDequeueRun(
+        options_.max_batch, [](const Job& head, const Job& next) {
+          return Coalescable(head.kind) && next.kind == head.kind;
+        });
+    if (batch.empty()) return;  // closed AND drained
     ExecuteReadBatch(std::move(batch));
     // Batches execute strictly one after another, so every shard's
     // reader count returns to zero between batches — the gap a writer

@@ -15,13 +15,16 @@
 //    whose tail latency grows until everything times out.
 //
 //  * Micro-batching. One dispatcher thread drains the read lane,
-//    coalescing consecutive same-kind Similar* jobs that arrive within
-//    `coalesce_window` (up to `max_batch`) into ONE batched ranking
+//    coalescing the same-kind Similar* jobs queued consecutively at the
+//    head of the lane (up to `max_batch`) into ONE batched ranking
 //    pass (TabBinServing::Similar*Batch): one reader-lock hold and one
 //    stacked scoring sweep per shard for the whole batch, instead of
-//    per-query lock churn. Answers stay byte-identical to sequential
-//    single-query calls — batching shares the lock hold, never the
-//    per-query candidate sets or score arithmetic.
+//    per-query lock churn. The dispatcher never lingers for stragglers:
+//    a lone request runs at once, and under load the jobs that queued
+//    while the previous batch ran form the next one. Answers stay
+//    byte-identical to sequential single-query calls — batching shares
+//    the lock hold, never the per-query candidate sets or score
+//    arithmetic.
 //
 //  * Write fairness. Writes ride a DEDICATED lane with their own
 //    thread. Because reads execute as a serialized stream of batches,
@@ -37,9 +40,6 @@
 #ifndef TABBIN_EXEC_EXECUTOR_H_
 #define TABBIN_EXEC_EXECUTOR_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <string>
@@ -61,13 +61,9 @@ struct ExecutorOptions {
   size_t read_queue_depth = 256;
   /// Admission bound of the write lane (AddTables / RemoveTable).
   size_t write_queue_depth = 64;
-  /// Most Similar* jobs coalesced into one batched ranking pass.
+  /// Most Similar* jobs coalesced into one batched ranking pass (0
+  /// acts as 1: a batch always holds its head job).
   size_t max_batch = 16;
-  /// How long the dispatcher lingers for more coalescable arrivals
-  /// after picking up a batch head. 0 disables lingering: batches
-  /// still form from jobs already queued, but the dispatcher never
-  /// waits for stragglers.
-  std::chrono::microseconds coalesce_window{200};
 };
 
 class AsyncExecutor {
@@ -115,23 +111,11 @@ class AsyncExecutor {
 
   size_t read_queue_capacity() const { return read_queue_.capacity(); }
 
-  // --- Test seams --------------------------------------------------------
-
-  /// \brief Parks the dispatcher before its next dequeue and returns
-  /// once it is parked — from then on submitted read jobs stay in the
-  /// queue, so tests can fill the lane to capacity deterministically
-  /// and observe the overflow rejection. No-op after Shutdown.
-  void PauseDispatchForTesting() TABBIN_EXCLUDES(pause_mu_);
-  void ResumeDispatchForTesting() TABBIN_EXCLUDES(pause_mu_);
-
  private:
   void DispatcherLoop();
   void WriterLoop();
   void ExecuteReadBatch(std::vector<Job> batch);
   void ExecuteWrite(Job job);
-  /// Dispatcher-side half of the pause handshake: acks, then blocks
-  /// until resumed (or released by Shutdown).
-  void PausePoint() TABBIN_EXCLUDES(pause_mu_);
 
   TabBinServing* serving_;
   const ExecutorOptions options_;
@@ -141,16 +125,6 @@ class AsyncExecutor {
 
   mutable Mutex stats_mu_;
   Stats stats_ TABBIN_GUARDED_BY(stats_mu_);
-
-  Mutex pause_mu_;
-  std::condition_variable_any pause_cv_;
-  // Atomic so the dispatcher's coalescing predicate (which runs under
-  // the QUEUE's mutex) can read it without a second lock; the
-  // check-then-wait in PausePoint still happens under pause_mu_, so
-  // Pause/Resume/Shutdown flip it under pause_mu_ to rule out a lost
-  // wakeup.
-  std::atomic<bool> pause_requested_{false};
-  bool pause_acked_ TABBIN_GUARDED_BY(pause_mu_) = false;
 
   Mutex shutdown_mu_;
   bool shutdown_ TABBIN_GUARDED_BY(shutdown_mu_) = false;

@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,6 +91,133 @@ void ExpectIdenticalResult(const Result<QueryResponse>& a,
   ExpectIdenticalResponse(a.value(), b.value());
 }
 
+// A serving that can hold the executor's dispatcher inside a read call.
+// Plug() submits one query and returns once the dispatcher is parked on
+// it: every read job submitted from then on stays queued until
+// Release(), so a test can fill the lane to exactly its capacity, or
+// line up the jobs a batch is built from. Everything else forwards to
+// the wrapped serving, so answers are the wrapped serving's.
+class GatedServing : public TabBinServing {
+ public:
+  explicit GatedServing(TabBinServing* inner) : inner_(inner) {}
+
+  std::future<Result<QueryResponse>> Plug(AsyncExecutor& exec,
+                                          const std::string& id) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = true;
+    }
+    auto plug = exec.SubmitSimilarTables({id, nullptr, 3});
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+    return plug;
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+
+  /// Read calls the dispatcher made, in order, with their batch sizes
+  /// (Ask counts as 1).
+  std::vector<size_t> calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+  Result<AddReport> AddTables(const std::vector<Table>& tables) override {
+    return inner_->AddTables(tables);
+  }
+  Status RemoveTable(const std::string& id) override {
+    return inner_->RemoveTable(id);
+  }
+  Status Compact() override { return inner_->Compact(); }
+  void SetQuantizedScan(bool on, int shortlist_multiplier) override {
+    inner_->SetQuantizedScan(on, shortlist_multiplier);
+  }
+  void SetIndexKind(IndexKind kind, int ef_search) override {
+    inner_->SetIndexKind(kind, ef_search);
+  }
+  Result<QueryResponse> SimilarColumns(
+      const ColumnQueryRequest& req) const override {
+    return inner_->SimilarColumns(req);
+  }
+  Result<QueryResponse> SimilarTables(
+      const TableQueryRequest& req) const override {
+    return inner_->SimilarTables(req);
+  }
+  Result<QueryResponse> SimilarEntities(
+      const EntityQueryRequest& req) const override {
+    return inner_->SimilarEntities(req);
+  }
+  Result<AskResponse> Ask(const AskRequest& req) const override {
+    Gate(1);
+    return inner_->Ask(req);
+  }
+  std::vector<Result<QueryResponse>> SimilarColumnsBatch(
+      const std::vector<ColumnQueryRequest>& reqs) const override {
+    Gate(reqs.size());
+    return inner_->SimilarColumnsBatch(reqs);
+  }
+  std::vector<Result<QueryResponse>> SimilarTablesBatch(
+      const std::vector<TableQueryRequest>& reqs) const override {
+    Gate(reqs.size());
+    return inner_->SimilarTablesBatch(reqs);
+  }
+  std::vector<Result<QueryResponse>> SimilarEntitiesBatch(
+      const std::vector<EntityQueryRequest>& reqs) const override {
+    Gate(reqs.size());
+    return inner_->SimilarEntitiesBatch(reqs);
+  }
+  std::vector<float> ColumnEmbedding(const Table& table,
+                                     int col) const override {
+    return inner_->ColumnEmbedding(table, col);
+  }
+  std::vector<float> TableEmbedding(const Table& table) const override {
+    return inner_->TableEmbedding(table);
+  }
+  std::vector<float> EntityEmbedding(const Table& table, int row,
+                                     int col) const override {
+    return inner_->EntityEmbedding(table, row, col);
+  }
+  size_t NumLiveTables() const override { return inner_->NumLiveTables(); }
+  size_t NumIndexedColumns() const override {
+    return inner_->NumIndexedColumns();
+  }
+  size_t NumIndexedEntities() const override {
+    return inner_->NumIndexedEntities();
+  }
+  std::vector<std::string> LiveTableIds() const override {
+    return inner_->LiveTableIds();
+  }
+  TabBiNSystem& system() override { return inner_->system(); }
+  EncoderEngine& engine() override { return inner_->engine(); }
+  Status Save(const std::string& path) const override {
+    return inner_->Save(path);
+  }
+
+ private:
+  void Gate(size_t batch) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    calls_.push_back(batch);
+    if (!held_) return;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !held_; });
+    parked_ = false;
+  }
+
+  TabBinServing* inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool held_ = false;
+  mutable bool parked_ = false;
+  mutable std::vector<size_t> calls_;
+};
+
 // --- BoundedQueue ----------------------------------------------------------
 
 TEST(BoundedQueueTest, TryEnqueueShedsAtCapacityWithoutBlocking) {
@@ -115,29 +244,40 @@ TEST(BoundedQueueTest, CloseStopsAdmissionButDrainsAdmitted) {
   EXPECT_FALSE(q.WaitDequeue().has_value());  // drained: nullopt, no block
 }
 
-TEST(BoundedQueueTest, WaitDequeueIfUntilHonorsPredicateAndDeadline) {
+TEST(BoundedQueueTest, WaitDequeueRunTakesOnlyTheQueuedRun) {
   BoundedQueue<int> q(8);
-  const auto past = std::chrono::steady_clock::now();
-  int out = 0;
-  // Empty queue, expired deadline: timeout.
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int) { return true; }, past, &out),
-            DequeueIf::kTimeout);
-  ASSERT_TRUE(q.TryEnqueue(5));
-  ASSERT_TRUE(q.TryEnqueue(6));
-  // Incompatible front stays put and ends the attempt.
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int v) { return v % 2 == 0; }, past,
-                                 &out),
-            DequeueIf::kRejected);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int v) { return v == 5; }, past, &out),
-            DequeueIf::kPopped);
-  EXPECT_EQ(out, 5);
+  const auto same_parity = [](int head, int next) {
+    return head % 2 == next % 2;
+  };
+  for (int v : {1, 3, 5, 7, 2, 4, 9}) ASSERT_TRUE(q.TryEnqueue(std::move(v)));
+  // The run stops at `max`; the rest of it heads the next run.
+  EXPECT_EQ(q.WaitDequeueRun(3, same_parity), (std::vector<int>{1, 3, 5}));
+  // The run stops at the first declined item, which stays queued.
+  EXPECT_EQ(q.WaitDequeueRun(8, same_parity), (std::vector<int>{7}));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.WaitDequeueRun(8, same_parity), (std::vector<int>{2, 4}));
+  // max == 0 still takes the head.
+  EXPECT_EQ(q.WaitDequeueRun(0, same_parity), (std::vector<int>{9}));
+
+  // An empty queue blocks until an item arrives; the run is what is
+  // queued at that moment, never a wait for company.
+  std::thread producer([&q] { EXPECT_TRUE(q.TryEnqueue(11)); });
+  EXPECT_EQ(q.WaitDequeueRun(8, same_parity), (std::vector<int>{11}));
+  producer.join();
+
+  ASSERT_TRUE(q.TryEnqueue(13));
   q.Close();
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int v) { return v == 6; }, past, &out),
-            DequeueIf::kPopped);  // close still drains
-  EXPECT_EQ(out, 6);
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int) { return true; }, past, &out),
-            DequeueIf::kClosed);
+  EXPECT_EQ(q.WaitDequeueRun(8, same_parity),
+            (std::vector<int>{13}));  // close still drains
+  // Closed and drained: empty.
+  EXPECT_TRUE(q.WaitDequeueRun(8, same_parity).empty());
+}
+
+TEST(BoundedQueueTest, CloseReleasesABlockedRunConsumer) {
+  BoundedQueue<int> q(2);
+  std::thread closer([&q] { q.Close(); });
+  EXPECT_TRUE(q.WaitDequeueRun(4, [](int, int) { return true; }).empty());
+  closer.join();
 }
 
 // --- Byte-identity through the executor ------------------------------------
@@ -184,12 +324,13 @@ TEST(AsyncExecutorTest, CoalescedBatchesByteIdenticalToSequential) {
   for (int shards : {1, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto svc = MakeLoadedServing(shards);
-    AsyncExecutor exec(svc.get());
+    GatedServing gated(svc.get());
+    AsyncExecutor exec(&gated);
     const auto& tables = SharedCorpus().corpus.tables;
 
-    // Park the dispatcher, queue 12 same-kind jobs, then release: they
-    // coalesce into one (or few) batched ranking passes.
-    exec.PauseDispatchForTesting();
+    // Hold the dispatcher on a plug query, queue 12 same-kind jobs,
+    // then release: the 12 queued jobs form ONE batched ranking pass.
+    auto plug = gated.Plug(exec, tables[0].id());
     std::vector<TableQueryRequest> reqs;
     std::vector<std::future<Result<QueryResponse>>> futs;
     for (size_t i = 0; i < 12; ++i) {
@@ -198,19 +339,21 @@ TEST(AsyncExecutorTest, CoalescedBatchesByteIdenticalToSequential) {
       reqs.push_back(req);
       futs.push_back(exec.SubmitSimilarTables(req));
     }
-    exec.ResumeDispatchForTesting();
+    gated.Release();
+    ExpectIdenticalResult(plug.get(),
+                          svc->SimilarTables({tables[0].id(), nullptr, 3}));
     for (size_t i = 0; i < reqs.size(); ++i) {
       ExpectIdenticalResult(futs[i].get(), svc->SimilarTables(reqs[i]));
     }
+    EXPECT_EQ(gated.calls(), (std::vector<size_t>{1, 12}));
     const auto stats = exec.stats();
-    EXPECT_GE(stats.batches, 1u);
-    EXPECT_EQ(stats.batched_jobs, 12u);
-    // Coalescing must actually have happened — not 12 batches of 1.
-    EXPECT_GT(stats.max_batch_seen, 1u);
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.batched_jobs, 13u);
+    EXPECT_EQ(stats.max_batch_seen, 12u);
 
     // Interleaved kinds split into per-kind batches at the boundaries
     // (jobs are never reordered) and still answer identically.
-    exec.PauseDispatchForTesting();
+    auto plug2 = gated.Plug(exec, tables[0].id());
     std::vector<ColumnQueryRequest> creqs;
     std::vector<EntityQueryRequest> ereqs;
     std::vector<std::future<Result<QueryResponse>>> cfuts, efuts;
@@ -222,18 +365,46 @@ TEST(AsyncExecutorTest, CoalescedBatchesByteIdenticalToSequential) {
       cfuts.push_back(exec.SubmitSimilarColumns(c));
       efuts.push_back(exec.SubmitSimilarEntities(e));
     }
-    exec.ResumeDispatchForTesting();
+    gated.Release();
+    EXPECT_TRUE(plug2.get().ok());
     for (size_t i = 0; i < 4; ++i) {
       ExpectIdenticalResult(cfuts[i].get(), svc->SimilarColumns(creqs[i]));
       ExpectIdenticalResult(efuts[i].get(), svc->SimilarEntities(ereqs[i]));
     }
+    EXPECT_EQ(gated.calls().size(), 2u + 1u + 8u);
   }
+}
+
+// A batch is the run of same-kind Similar* jobs queued at the head of
+// the lane: an Ask ends the run and executes alone, and a lone request
+// is a batch of one.
+TEST(AsyncExecutorTest, BatchesAreTheQueuedSameKindRuns) {
+  auto svc = MakeLoadedServing(1);
+  GatedServing gated(svc.get());
+  AsyncExecutor exec(&gated);
+  const auto& tables = SharedCorpus().corpus.tables;
+  auto plug = gated.Plug(exec, tables[0].id());
+  // Queued behind the running plug: a Similar* run broken by an Ask.
+  auto a = exec.SubmitSimilarTables({tables[1].id(), nullptr, 3});
+  auto b = exec.SubmitSimilarTables({tables[2].id(), nullptr, 3});
+  auto ask = exec.SubmitAsk({"overall survival months", 3});
+  auto c = exec.SubmitSimilarTables({tables[3].id(), nullptr, 3});
+  gated.Release();
+  for (auto* f : {&plug, &a, &b, &c}) EXPECT_TRUE(f->get().ok());
+  EXPECT_TRUE(ask.get().ok());
+  EXPECT_EQ(gated.calls(), (std::vector<size_t>{1, 2, 1, 1}));
+  // Idle again: a lone request is dispatched by itself.
+  EXPECT_TRUE(exec.SubmitSimilarTables({tables[4].id(), nullptr, 3})
+                  .get()
+                  .ok());
+  EXPECT_EQ(gated.calls().back(), 1u);
 }
 
 TEST(AsyncExecutorTest, InlineQueryTablesAreCopiedIntoTheJob) {
   auto svc = MakeLoadedServing(1);
-  AsyncExecutor exec(svc.get());
-  exec.PauseDispatchForTesting();
+  GatedServing gated(svc.get());
+  AsyncExecutor exec(&gated);
+  auto plug = gated.Plug(exec, SharedCorpus().corpus.tables[0].id());
   std::future<Result<QueryResponse>> fut;
   Result<QueryResponse> direct = Status::Internal("unset");
   {
@@ -244,7 +415,8 @@ TEST(AsyncExecutorTest, InlineQueryTablesAreCopiedIntoTheJob) {
     direct = svc->SimilarTables({"", &probe, 5});
     fut = exec.SubmitSimilarTables({"", &probe, 5});
   }
-  exec.ResumeDispatchForTesting();
+  gated.Release();
+  EXPECT_TRUE(plug.get().ok());
   ExpectIdenticalResult(fut.get(), direct);
 }
 
@@ -252,20 +424,21 @@ TEST(AsyncExecutorTest, InlineQueryTablesAreCopiedIntoTheJob) {
 
 TEST(AsyncExecutorTest, OverflowRejectsImmediatelyWithResourceExhausted) {
   auto svc = MakeLoadedServing(1);
+  GatedServing gated(svc.get());
   ExecutorOptions opts;
   opts.read_queue_depth = 4;
-  AsyncExecutor exec(svc.get(), opts);
-  // Once the pause is acked no job leaves the queue, so exactly
-  // `depth` submits are admitted and the next MUST be shed.
-  exec.PauseDispatchForTesting();
+  AsyncExecutor exec(&gated, opts);
+  // While the dispatcher is held on the plug no job leaves the queue,
+  // so exactly `depth` submits are admitted and the next MUST be shed.
   const std::string id = SharedCorpus().corpus.tables[0].id();
   std::vector<std::future<Result<QueryResponse>>> admitted;
+  admitted.push_back(gated.Plug(exec, id));
   for (size_t i = 0; i < 4; ++i) {
     admitted.push_back(exec.SubmitSimilarTables({id, nullptr, 3}));
   }
   auto shed = exec.SubmitSimilarTables({id, nullptr, 3});
   // The rejection is synchronous — the future is ready the moment
-  // Submit returns, without waiting on the (paused!) dispatcher.
+  // Submit returns, without waiting on the (held!) dispatcher.
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   auto r = shed.get();
@@ -273,12 +446,12 @@ TEST(AsyncExecutorTest, OverflowRejectsImmediatelyWithResourceExhausted) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(exec.stats().rejected, 1u);
   // The admitted jobs were not harmed by the shed one.
-  exec.ResumeDispatchForTesting();
+  gated.Release();
   for (auto& f : admitted) {
     auto ar = f.get();
     EXPECT_TRUE(ar.ok()) << ar.status().ToString();
   }
-  EXPECT_EQ(exec.stats().submitted, 4u);
+  EXPECT_EQ(exec.stats().submitted, 5u);  // the plug and 4 queued
 }
 
 // --- Write fairness ---------------------------------------------------------
@@ -346,16 +519,31 @@ TEST(AsyncExecutorTest, WriterLaneProgressesUnderFullDutyReaders) {
 
 TEST(AsyncExecutorTest, ShutdownDrainsAdmittedJobsThenRejects) {
   auto svc = MakeLoadedServing(1);
-  auto exec = std::make_unique<AsyncExecutor>(svc.get());
+  GatedServing gated(svc.get());
+  auto exec = std::make_unique<AsyncExecutor>(&gated);
   const std::string id = SharedCorpus().corpus.tables[0].id();
-  exec->PauseDispatchForTesting();
   std::vector<std::future<Result<QueryResponse>>> futs;
+  futs.push_back(gated.Plug(*exec, id));
   for (size_t i = 0; i < 6; ++i) {
     futs.push_back(exec->SubmitSimilarTables({id, nullptr, 3}));
   }
-  // Shutdown releases the park, drains all six, and only then joins —
-  // an admitted job's promise is never abandoned.
-  exec->Shutdown();
+  // Close the lanes while the dispatcher is held with six jobs queued:
+  // the first submit that is refused shows the close has happened
+  // (ones admitted before it join the drain).
+  std::thread closer([&exec] { exec->Shutdown(); });
+  for (;;) {
+    auto f = exec->SubmitSimilarTables({id, nullptr, 3});
+    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      EXPECT_EQ(f.get().status().code(), StatusCode::kResourceExhausted);
+      break;
+    }
+    futs.push_back(std::move(f));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Shutdown drains every queued job before it joins — an admitted
+  // job's promise is never abandoned.
+  gated.Release();
+  closer.join();
   for (auto& f : futs) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);

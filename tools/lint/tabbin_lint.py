@@ -60,6 +60,14 @@ unbounded-exec-queue
     exact failure mode the admission-controlled executor exists to
     prevent.
 
+test-seam-in-src
+    No *ForTesting / *ForTest hooks outside tests/. A test seam in
+    production code costs every production call: the executor's pause
+    hook made its dispatcher poll every 10 ms and check an atomic before
+    each dequeue, only so that tests could park it. Tests drive the
+    program through its public interfaces instead (tests/exec_test.cc
+    holds the dispatcher with a wrapping TabBinServing).
+
 Suppression
 -----------
 Findings are suppressed with an explicit, rule-scoped marker on the
@@ -113,6 +121,10 @@ RULES = {
         "(src/index/ computes every distance through "
         "EmbeddingMatrix::CosineRows / tensor/kernels.h)"
     ),
+    "test-seam-in-src": (
+        "test-only hook (*ForTesting / *ForTest) outside tests/ "
+        "(drive tests through a public interface)"
+    ),
 }
 
 # Files a rule never applies to (the rule polices *callers* of these
@@ -150,6 +162,9 @@ RULE_EXCLUDES = {
         # BoundedQueue itself stores items in a std::deque — behind a
         # fixed capacity check; it IS the sanctioned staging container.
         "src/exec/bounded_queue.h",
+    ],
+    "test-seam-in-src": [
+        "tests/",
     ],
 }
 
@@ -505,6 +520,23 @@ def rule_index_distance_bypass(path, code_lines, fn_ranges, mask):
     return findings
 
 
+TEST_SEAM_RE = re.compile(r"\b(\w+For(?:Testing|Test))\b")
+
+
+def rule_test_seam_in_src(path, code_lines, fn_ranges, mask):
+    findings = []
+    for idx, line in enumerate(code_lines):
+        m = TEST_SEAM_RE.search(line)
+        if m:
+            findings.append(Finding(
+                path, idx + 1, "test-seam-in-src",
+                "test-only hook '%s' outside tests/; every production "
+                "call pays for the seam — drive the behavior from tests "
+                "through a public interface (e.g. a wrapping "
+                "TabBinServing) instead" % m.group(1)))
+    return findings
+
+
 RULE_FNS = {
     "encode-under-lock": rule_encode_under_lock,
     "raw-row-mutation": rule_raw_row_mutation,
@@ -513,6 +545,7 @@ RULE_FNS = {
     "raw-mmap": rule_raw_mmap,
     "unbounded-exec-queue": rule_unbounded_exec_queue,
     "index-distance-bypass": rule_index_distance_bypass,
+    "test-seam-in-src": rule_test_seam_in_src,
 }
 
 
