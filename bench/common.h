@@ -24,7 +24,6 @@
 #include "core/tabbin.h"
 #include "datagen/corpus_gen.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "tasks/clustering.h"
 #include "tasks/pipelines.h"
 
@@ -61,10 +60,10 @@ struct ModelSet {
 ///   `<dir>/<dataset>_s<seed>.tbsn` instead of pretraining TabBiN, and
 ///   writes that snapshot (models + cached table encodings) after the
 ///   first cold run, so re-running any paper table skips pretraining.
-///   `--shards=N` — BenchEnv serves TabBiN through a ShardedTabBinService
-///   with N hash-partitioned shards instead of the single-shard
-///   TabBinService (answers are byte-identical; the knob exists so the
-///   paper tables can exercise the scatter-gather path).
+///   `--shards=N` — BenchEnv serves TabBiN through a TabBinService
+///   with N hash-partitioned shards instead of one (answers are
+///   byte-identical; the knob exists so the paper tables can exercise
+///   the parallel scatter-gather path).
 void InitFromArgs(int argc, char** argv);
 
 /// \brief Snapshot directory from InitFromArgs; empty when disabled.
@@ -99,8 +98,8 @@ class BenchEnv {
   const LabeledCorpus& data() const { return data_; }
   const Corpus& corpus() const { return data_.corpus; }
   TabBiNSystem& tabbin() { return *tabbin_; }
-  /// \brief The serving facade over this dataset — a TabBinService, or
-  /// a ShardedTabBinService under `--shards=N`. The corpus is indexed
+  /// \brief The serving facade over this dataset — a TabBinService with
+  /// one shard, or N under `--shards=N`. The corpus is indexed
   /// (AddTables) lazily on first use, so benchmarks that only need the
   /// embedding accessors don't pay for LSH/entity index construction.
   TabBinServing& service();

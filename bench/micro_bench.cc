@@ -18,7 +18,6 @@
 #include "core/tabbin.h"
 #include "datagen/corpus_gen.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "tasks/clustering.h"
 #include "tasks/lsh.h"
 #include "tensor/kernels.h"
@@ -229,20 +228,18 @@ const std::vector<Table>& MixedBenchCorpus() {
   return *tables;
 }
 
-// One sharded service per shard count, shared across the benchmark's
-// threads (lazily built under a mutex — benchmark threads all race into
-// the first iteration).
-ShardedTabBinService& SharedShardedService(int shards) {
+// One service per shard count, shared across the benchmark's threads
+// (lazily built under a mutex — benchmark threads all race into the
+// first iteration).
+TabBinService& SharedShardedService(int shards) {
   static std::mutex mu;
-  static auto* services =
-      new std::map<int, std::unique_ptr<ShardedTabBinService>>();
+  static auto* services = new std::map<int, std::unique_ptr<TabBinService>>();
   std::lock_guard<std::mutex> lock(mu);
   auto& slot = (*services)[shards];
   if (!slot) {
     ServiceOptions opts;
     opts.encoder_cache_capacity = MixedBenchCorpus().size() + 16;
-    slot = std::make_unique<ShardedTabBinService>(SharedSystemPtr(), shards,
-                                                  opts);
+    slot = std::make_unique<TabBinService>(SharedSystemPtr(), opts, shards);
     if (!slot->AddTables(MixedBenchCorpus()).ok()) std::abort();
   }
   return *slot;
@@ -265,7 +262,7 @@ ShardedTabBinService& SharedShardedService(int shards) {
 // (writer churn appends dead rows until the next Compact).
 void BM_ServiceMixedReadWrite(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
-  ShardedTabBinService& svc = SharedShardedService(shards);
+  TabBinService& svc = SharedShardedService(shards);
   const auto& tables = MixedBenchCorpus();
   if (state.thread_index() == 0) {
     Table churn = tables[0];

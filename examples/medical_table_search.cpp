@@ -15,7 +15,7 @@
 
 #include "baselines/word2vec.h"
 #include "datagen/corpus_gen.h"
-#include "service/table_service.h"
+#include "service/sharded_service.h"
 #include "tensor/ops.h"
 
 using namespace tabbin;

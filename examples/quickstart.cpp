@@ -12,7 +12,7 @@
 #include <memory>
 
 #include "datagen/corpus_gen.h"
-#include "service/table_service.h"
+#include "service/sharded_service.h"
 #include "tasks/clustering.h"
 #include "tasks/pipelines.h"
 

@@ -15,9 +15,9 @@
 //       Warm-start from a snapshot (no pretraining, cached encodings)
 //       and report TC MAP@20 / MRR@20.
 //   tabbin_cli build-service [--shards=N] <corpus.json> <service.tbsn>
-//       Pretrain, index the corpus in a serving core (--shards=N > 1
-//       hash-partitions it across a ShardedTabBinService), and snapshot
-//       the whole service (models + encodings + corpus + indexes).
+//       Pretrain, index the corpus in a TabBinService (--shards=N
+//       hash-partitions it across N shards; default 1), and snapshot
+//       the whole service (models + corpus + indexes) as a v2 store.
 //   tabbin_cli query [--shards=N] [--quantized[=r]] [--async [--qps=N]]
 //       <service.tbsn> table <id> [k]
 //   tabbin_cli query [--shards=N] [--quantized[=r]] [--async [--qps=N]]
@@ -25,9 +25,9 @@
 //   tabbin_cli query [--shards=N] [--quantized[=r]] [--async [--qps=N]]
 //       <service.tbsn> ask <question> [k]
 //       Serve similarity / grounding queries from a service snapshot —
-//       no corpus file, no pretraining, no index rebuild. The snapshot
-//       format (single vs sharded) is auto-detected; --shards=N
-//       re-partitions onto N shards regardless of how it was saved.
+//       no corpus file, no pretraining, no index rebuild. The store
+//       opens at its saved shard count; --shards=N re-partitions onto
+//       N shards (1 <= N <= kMaxShards) regardless of how it was saved.
 //       Answers are byte-identical at any shard count. --quantized[=r]
 //       turns on the int8 two-stage scan (shortlist = k*r, default r=4;
 //       final scores stay float-exact). --async routes the query
@@ -46,6 +46,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <map>
@@ -61,7 +62,6 @@
 #include "index/hnsw_index.h"
 #include "io/table_io.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "store/generation.h"
 #include "store/paged_snapshot.h"
 #include "util/snapshot.h"
@@ -104,7 +104,8 @@ int Usage() {
                "  tabbin_cli inspect <corpus.json> <index>\n"
                "  tabbin_cli inspect <snapshot.tbsn | generation_dir>\n"
                "datasets: webtables covidkg cancerkg saus cius\n"
-               "--shards=N serves through N hash-partitioned shards\n"
+               "--shards=N (1..%d) serves through N hash-partitioned "
+               "shards\n"
                "(scatter-gather; answers identical at any shard count)\n"
                "--quantized[=r] scores through the int8 two-stage scan\n"
                "(k*r shortlist, float-exact rerank; default r=4)\n"
@@ -113,7 +114,8 @@ int Usage() {
                "--index=lsh forces the reference bucket probe\n"
                "--async routes queries through the AsyncExecutor;\n"
                "--qps=N replays the query open-loop at N requests/s and\n"
-               "prints latency percentiles + shed count (implies --async)\n");
+               "prints latency percentiles + shed count (implies --async)\n",
+               kMaxShards);
   return 2;
 }
 
@@ -426,7 +428,7 @@ int CmdQuery(const std::string& snapshot_path, const std::string& kind,
   }
   if (index_kind >= 0) {
     // --index=hnsw builds the graphs when the snapshot carries none
-    // (v1 / lsh-saved stores); --index=lsh drops a persisted graph and
+    // (lsh-saved stores); --index=lsh drops a persisted graph and
     // forces the reference bucket probe.
     svc.SetIndexKind(static_cast<IndexKind>(index_kind), ef);
     if (index_kind == kIndexHnsw && ef > 0) {
@@ -667,7 +669,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
+      // Outside input: an unbounded count would allocate that many
+      // shards (each with three LSH indexes) before anything else runs.
+      char* end = nullptr;
+      const long n = std::strtol(arg.c_str() + 9, &end, 10);
+      if (end == arg.c_str() + 9 || *end != '\0' || n < 1 ||
+          n > kMaxShards) {
+        std::fprintf(stderr, "error: %s: shard count must be in [1, %d]\n",
+                     arg.c_str(), kMaxShards);
+        return 2;
+      }
+      shards = static_cast<int>(n);
       continue;
     }
     if (arg == "--quantized") {

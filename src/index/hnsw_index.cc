@@ -582,7 +582,9 @@ Result<HnswIndex> HnswIndex::Restore(BinaryReader* meta, const uint8_t* l0,
                               meta->ReadBytes(count * sizeof(uint32_t)));
       auto& out = levels[l];
       out.resize(count);
-      std::memcpy(out.data(), raw.data(), raw.size());
+      // A zero-degree level leaves out.data() null, which memcpy must
+      // never receive, even for zero bytes.
+      if (count > 0) std::memcpy(out.data(), raw.data(), raw.size());
       for (uint32_t n : out) {
         if (n >= nodes) {
           return Status::ParseError(

@@ -1,8 +1,7 @@
-// Request/response vocabulary of the serving layer, shared by the
-// single-shard TabBinService and the scatter-gather
-// ShardedTabBinService, plus the TabBinServing interface both
-// implement so callers (CLI, benchmarks, tests) can hold either behind
-// one handle and switch with a --shards=N knob.
+// Request/response vocabulary of the serving layer, plus the
+// TabBinServing interface that TabBinService (service/sharded_service.h)
+// implements, so callers (CLI, benchmarks, tests) hold the service — or
+// a wrapper around it — behind one handle.
 #ifndef TABBIN_SERVICE_SERVICE_TYPES_H_
 #define TABBIN_SERVICE_SERVICE_TYPES_H_
 
@@ -18,7 +17,13 @@ namespace tabbin {
 class TabBiNSystem;
 class EncoderEngine;
 
-/// \brief Construction knobs shared by both serving implementations.
+/// \brief Upper bound on a service's shard count: the constructor clamp,
+/// the Load / LoadServing override bound, and the store.meta check.
+/// Far above any sane deployment; it keeps outside input (a CLI flag, a
+/// hostile file) from allocating millions of shards.
+inline constexpr int kMaxShards = 4096;
+
+/// \brief Construction knobs of the serving layer.
 struct ServiceOptions {
   /// EncoderEngine LRU capacity; 0 means auto — the cache grows with
   /// the corpus (every AddTables reserves room for all live tables).
@@ -44,9 +49,9 @@ struct ServiceOptions {
   /// shortlist with the exact float cosine kernels — final scores are
   /// always float-exact; only shortlist membership is approximate. Off
   /// by default: the exact full scan remains the reference behavior.
-  /// Runtime scoring knobs, deliberately NOT serialized (the snapshot
-  /// byte format predates them; re-apply via SetQuantizedScan after
-  /// load).
+  /// Runtime scoring knobs, deliberately NOT serialized (the
+  /// "service.options" section predates them; re-apply via
+  /// SetQuantizedScan after load).
   bool quantized_scan = false;
   /// Shortlist size as a multiple of k; clamped to >= 1. Larger r
   /// trades scan speedup for recall (r where recall@10 saturates is
@@ -61,9 +66,9 @@ struct ServiceOptions {
   /// accept → (optional int8 shortlist) → exact float rerank pipeline,
   /// so final ordering is always ServiceMatchOrder. Like the quantized
   /// knobs, these are runtime scoring knobs and deliberately NOT
-  /// serialized into the v1 options section; the graph itself persists
-  /// as optional v2 store sections, and SetIndexKind after load (or a
-  /// snapshot carrying the sections) re-enables the graph path.
+  /// serialized into the "service.options" section; the graph itself
+  /// persists as optional v2 store sections, and SetIndexKind after load
+  /// (or a snapshot carrying the sections) re-enables the graph path.
   int index_kind = 0;  // IndexKind; int keeps the struct aggregate-simple
   /// HNSW degree bound (level 0 keeps 2*m) and build beam width. Build
   /// parameters are part of the graph's identity: the persisted
@@ -144,11 +149,12 @@ struct AskResponse {
 };
 
 /// \brief The serving contract: corpus updates, similarity queries,
-/// free-text grounding, embedding accessors, and persistence. Both
-/// TabBinService (one shard, one lock) and ShardedTabBinService
-/// (hash-partitioned shards, scatter-gather) implement it; given the
-/// same system, options, and corpus they answer every query
-/// byte-identically (tests/sharded_service_test.cc is the proof).
+/// free-text grounding, embedding accessors, and persistence.
+/// TabBinService (N >= 1 hash-partitioned shards, scatter-gather) is the
+/// implementation; given the same system, options, and corpus it
+/// answers every query byte-identically at any shard count
+/// (tests/sharded_service_test.cc is the proof). Tests wrap it through
+/// this interface (e.g. to hold the executor's dispatcher).
 class TabBinServing {
  public:
   virtual ~TabBinServing() = default;
@@ -169,7 +175,7 @@ class TabBinServing {
   /// \brief Switches the Similar* candidate generator at runtime (see
   /// ServiceOptions::index_kind). Enabling kIndexHnsw builds the
   /// neighbor graphs from the stored rows when no persisted graph is
-  /// present (the v1-snapshot / fresh-corpus fallback); switching back
+  /// present (a fresh corpus or an LSH-saved store); switching back
   /// to kIndexLsh drops them and restores the reference bucket-probe
   /// behavior byte for byte. `ef_search <= 0` keeps the current value.
   /// Takes each shard's writer lock; not a per-request call.

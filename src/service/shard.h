@@ -4,9 +4,10 @@
 // queries over its subset of the corpus: the table slots (live +
 // tombstoned), the three per-task LSH indexes with their flat embedding
 // matrices, the doc-local lexical statistics behind Ask, and one
-// SharedMutex (util/mutex.h, the annotated std::shared_mutex). TabBinService is exactly one shard behind the
-// public API; ShardedTabBinService hash-partitions the corpus across N
-// of them so a write to one shard never blocks reads on the others.
+// SharedMutex (util/mutex.h, the annotated std::shared_mutex).
+// TabBinService (service/sharded_service.h) hash-partitions the corpus
+// across N >= 1 of them so a write to one shard never blocks reads on
+// the others.
 //
 // Determinism contract (what makes scatter-gather exact):
 //   * Every shard builds its LSH indexes from the same ServiceOptions
@@ -20,7 +21,7 @@
 //     shard can rank its own documents without knowing the rest of the
 //     corpus and the merged per-shard top-k equals the global top-k.
 // Together these give: for any shard count, merged per-shard top-k ==
-// single-service top-k, byte for byte (tests/sharded_service_test.cc).
+// one-shard top-k, byte for byte (tests/sharded_service_test.cc).
 #ifndef TABBIN_SERVICE_SHARD_H_
 #define TABBIN_SERVICE_SHARD_H_
 
@@ -63,23 +64,20 @@ bool ServiceMatchOrder(const ServiceMatch& a, const ServiceMatch& b);
 std::unordered_map<std::string, int> ServiceDocTermFrequencies(
     const Table& table);
 
-/// \brief Writes / reads the "service.options" snapshot section, shared
-/// by both service implementations (construction knobs travel with the
-/// state so a restored service behaves identically on later updates).
+/// \brief Writes / reads the "service.options" section the v2 store
+/// bridges (construction knobs travel with the state so a restored
+/// service behaves identically on later updates).
 void AppendServiceOptions(const ServiceOptions& options,
                           SnapshotWriter* snapshot);
 Result<ServiceOptions> ReadServiceOptions(const SnapshotReader& snapshot);
 
-// --- Paged (v2) store plumbing shared by both services ---------------------
-// (implemented in service/shard_store.cc)
+// --- Paged (v2) store plumbing (implemented in service/shard_store.cc) -----
 
-/// \brief What the "store.meta" section says about the saved service.
-struct StoreMeta {
-  bool sharded = false;
-  uint32_t shards = 1;
-};
-void AppendStoreMeta(PagedSnapshotWriter* w, const StoreMeta& meta);
-Result<StoreMeta> ReadStoreMeta(const PagedSnapshotReader& reader);
+/// \brief Writes / reads the "store.meta" section: the saved shard
+/// count. Reading rejects a truncated section and a count outside
+/// [1, kMaxShards] as ParseError.
+void AppendStoreMeta(PagedSnapshotWriter* w, uint32_t shards);
+Result<uint32_t> ReadStoreMeta(const PagedSnapshotReader& reader);
 
 /// \brief Section prefix for shard i ("store.s<i>.").
 /// (Section bridging and path resolution shared with the core loader
@@ -99,7 +97,7 @@ class ServiceShard {
     std::string surface;
   };
   struct TableSlot {
-    // The parsed table — populated on live inserts and v1 restores.
+    // The parsed table — populated on live inserts and re-partitions.
     // On a v2 (mapped) restore it stays empty: `table_loaded` is false
     // and the slot instead points at the table's JSON inside the mapped
     // snapshot (json_ptr/json_len, kept alive by store_keepalive_).
@@ -123,9 +121,9 @@ class ServiceShard {
     int col_begin = -1, col_end = -1;
     int ent_begin = -1, ent_end = -1;
     // Doc-local lexical stats for the Ask gate (term -> count over the
-    // serialized table text). Derived on insert and on v1 snapshot
-    // load; the v2 paged store persists it (sorted) so a mapped restore
-    // rebuilds the postings without parsing any table JSON.
+    // serialized table text). Derived on insert; the v2 paged store
+    // persists it (sorted) so a mapped restore rebuilds the postings
+    // without parsing any table JSON.
     std::unordered_map<std::string, int> doc_tf;
   };
 
@@ -145,7 +143,7 @@ class ServiceShard {
   };
 
   /// \brief One live table with its stored embedding rows — the
-  /// exchange format for sharded snapshots and re-partitioning.
+  /// exchange format for re-partitioning a store onto a new shard count.
   struct LiveTableRows {
     Table table;
     std::string id;
@@ -175,8 +173,8 @@ class ServiceShard {
                    std::vector<PreparedTable> prepared, AddReport* report)
       TABBIN_EXCLUDES(mu_);
 
-  /// \brief Re-inserts one table from stored embedding rows (snapshot
-  /// restore / re-partitioning): validates widths, then inserts without
+  /// \brief Re-inserts one table from stored embedding rows
+  /// (re-partitioning): validates widths, then inserts without
   /// any encoder involvement. ParseError on width mismatch.
   Status InsertRows(LiveTableRows&& rows, AddReport* report)
       TABBIN_EXCLUDES(mu_);
@@ -191,8 +189,8 @@ class ServiceShard {
 
   /// \brief Switches the candidate generator (see
   /// ServiceOptions::index_kind). Enabling kIndexHnsw builds the three
-  /// neighbor graphs from the stored rows when absent (the v1-snapshot
-  /// / fresh-corpus fallback — a v2 restore that found graph sections
+  /// neighbor graphs from the stored rows when absent (a fresh corpus
+  /// or an LSH-saved store — a restore that found graph sections
   /// already has them); kIndexLsh drops the graphs and restores the
   /// reference bucket-probe path byte for byte. Writer lock.
   void SetIndexKind(IndexKind kind, int ef_search) TABBIN_EXCLUDES(mu_);
@@ -315,8 +313,8 @@ class ServiceShard {
   void AppendLiveIds(std::vector<std::string>* out) const
       TABBIN_EXCLUDES(mu_);
 
-  /// \brief Copies every live table with its embedding rows (snapshot
-  /// export / re-partitioning), in slot order. On a mapped shard this
+  /// \brief Copies every live table with its embedding rows
+  /// (re-partitioning), in slot order. On a mapped shard this
   /// parses every lazy table JSON — ParseError if the mapped blob is
   /// corrupt, so the failure surfaces here instead of as a bad export.
   Status ExportLive(std::vector<LiveTableRows>* out) const
@@ -348,12 +346,6 @@ class ServiceShard {
   bool is_mapped() const TABBIN_EXCLUDES(mu_);
 
  private:
-  // TabBinService serializes/restores its single shard in the legacy
-  // "service.*" snapshot byte format, which needs raw field access
-  // (taken under this shard's mu_, which the analysis still checks —
-  // friendship does not bypass TABBIN_GUARDED_BY).
-  friend class TabBinService;
-
   void InsertPreparedLocked(Table table, const std::string& id,
                             PreparedTable&& prepared, AddReport* report)
       TABBIN_REQUIRES(mu_);
@@ -431,9 +423,8 @@ class ServiceShard {
 
   // HNSW graph candidate generators, one per task matrix. Null unless
   // options_.index_kind == kIndexHnsw (the LSH indexes are ALWAYS
-  // maintained — they cost little, serve the Ask dense stage's key
-  // probe when the graph path is off, and keep the v1 snapshot byte
-  // format unchanged). Node id i of a graph IS row i of its matrix.
+  // maintained — they cost little and serve the Ask dense stage's key
+  // probe). Node id i of a graph IS row i of its matrix.
   std::unique_ptr<HnswIndex> col_hnsw_ TABBIN_GUARDED_BY(mu_);
   std::unique_ptr<HnswIndex> tbl_hnsw_ TABBIN_GUARDED_BY(mu_);
   std::unique_ptr<HnswIndex> ent_hnsw_ TABBIN_GUARDED_BY(mu_);
@@ -447,13 +438,13 @@ class ServiceShard {
 };
 
 // ---------------------------------------------------------------------------
-// Scatter-gather coordinator, shared by TabBinService (one shard) and
-// ShardedTabBinService (N shards). All functions are free of service
-// state: they see the system/engine/options plus a stable view of the
-// shard set, route id-addressed requests to the owning shard
-// (ShardIndexFor), encode ad-hoc inputs outside every lock, fan the
-// ranking out (across ThreadPool::Global() when there is more than one
-// shard), and merge with the partition-independent ServiceMatchOrder.
+// Scatter-gather coordinator behind TabBinService. All functions are
+// free of service state: they see the system/engine/options plus a
+// stable view of the shard set, route id-addressed requests to the
+// owning shard (ShardIndexFor), encode ad-hoc inputs outside every
+// lock, fan the ranking out (across ThreadPool::Global() when there is
+// more than one shard, inline otherwise), and merge with the
+// partition-independent ServiceMatchOrder.
 // ---------------------------------------------------------------------------
 
 /// \brief Lock-free per-task hashers with the same geometry and seed as
@@ -503,8 +494,8 @@ std::vector<Result<QueryResponse>> ScatterSimilarTablesBatch(
 std::vector<Result<QueryResponse>> ScatterSimilarEntitiesBatch(
     const ServingCore& core, const std::vector<EntityQueryRequest>& reqs);
 
-// The embedding accessors both services expose (engine-cached encode →
-// composite; thread-safe, no shard locks).
+// The service's embedding accessors (engine-cached encode → composite;
+// thread-safe, no shard locks).
 std::vector<float> ServingColumnEmbedding(const ServingCore& core,
                                           const Table& table, int col);
 std::vector<float> ServingTableEmbedding(const ServingCore& core,

@@ -29,32 +29,38 @@
 namespace tabbin {
 
 namespace {
+// Kept at 1 across the removal of the single-shard service so stores
+// it wrote still open; the word after it (once a single-vs-sharded
+// flag) is written as 1 and ignored on read.
 constexpr uint32_t kStoreMetaVersion = 1;
 }  // namespace
 
-void AppendStoreMeta(PagedSnapshotWriter* w, const StoreMeta& meta) {
+void AppendStoreMeta(PagedSnapshotWriter* w, uint32_t shards) {
   BinaryWriter* out = w->AddSection("store.meta");
   out->WriteU32(kStoreMetaVersion);
-  out->WriteU32(meta.sharded ? 1 : 0);
-  out->WriteU32(meta.shards);
+  out->WriteU32(1);
+  out->WriteU32(shards);
 }
 
-Result<StoreMeta> ReadStoreMeta(const PagedSnapshotReader& reader) {
+Result<uint32_t> ReadStoreMeta(const PagedSnapshotReader& reader) {
   TABBIN_ASSIGN_OR_RETURN(BinaryReader r, reader.Section("store.meta"));
-  TABBIN_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version != kStoreMetaVersion) {
+  auto version = r.ReadU32();
+  auto legacy_flag = r.ReadU32();
+  auto shards = r.ReadU32();
+  if (!version.ok() || !legacy_flag.ok() || !shards.ok()) {
+    return Status::ParseError("paged store: truncated store.meta");
+  }
+  if (version.value() != kStoreMetaVersion) {
     return Status::ParseError("paged store: unsupported store.meta version " +
-                              std::to_string(version));
+                              std::to_string(version.value()));
   }
-  StoreMeta meta;
-  TABBIN_ASSIGN_OR_RETURN(uint32_t sharded, r.ReadU32());
-  meta.sharded = sharded != 0;
-  TABBIN_ASSIGN_OR_RETURN(meta.shards, r.ReadU32());
-  if (meta.shards == 0 || meta.shards > 4096) {
+  if (shards.value() == 0 ||
+      shards.value() > static_cast<uint32_t>(kMaxShards)) {
     return Status::ParseError("paged store: shard count " +
-                              std::to_string(meta.shards) + " out of range");
+                              std::to_string(shards.value()) +
+                              " out of range");
   }
-  return meta;
+  return shards.value();
 }
 
 std::string StoreShardPrefix(uint32_t shard) {
@@ -82,10 +88,12 @@ Result<std::vector<float>> ReadNormArray(BinaryReader* r, uint64_t rows,
 // Validates that `span` holds exactly rows x cols floats and returns
 // its start as a float pointer (page alignment is guaranteed by the
 // directory: embedding sections are written with kStoreBlockAlign).
+// An empty block is valid at any width.
 Result<const float*> CheckBlock(ByteSpan span, uint64_t rows, uint64_t cols,
                                 const char* what) {
-  if (cols == 0 || rows > span.size / (cols * sizeof(float)) ||
-      rows * cols * sizeof(float) != span.size) {
+  const bool empty = rows == 0 && span.size == 0;
+  if (!empty && (cols == 0 || rows > span.size / (cols * sizeof(float)) ||
+                 rows * cols * sizeof(float) != span.size)) {
     return Status::ParseError(std::string("paged store: ") + what +
                               " block size disagrees with its geometry");
   }
@@ -202,8 +210,8 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
                                       std::shared_ptr<const void> keepalive,
                                       const std::string& prefix) {
   // The shard is freshly constructed and unpublished; the writer lock
-  // is for the thread-safety analysis (same rationale as the v1
-  // restore in table_service.cc).
+  // is for the thread-safety analysis, which cannot know the shard is
+  // still thread-private.
   WriterMutexLock lock(&mu_);
 
   TABBIN_ASSIGN_OR_RETURN(BinaryReader meta,
@@ -348,9 +356,16 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
     return Status::ParseError(
         "paged store: matrix rows disagree with ref arrays");
   }
-  if (tbl_d.cols != static_cast<uint64_t>(ServiceTableDim(*system_)) ||
-      col_d.cols != static_cast<uint64_t>(ServiceColumnDim(*system_)) ||
-      ent_d.cols != static_cast<uint64_t>(ServiceEntityDim(*system_))) {
+  // A matrix that never held a row never learned its width (AppendRow
+  // sets it), so an empty shard saves it as 0; any other width must be
+  // the system's.
+  const auto width_ok = [](const Dims& d, int dim) {
+    return d.cols == static_cast<uint64_t>(dim) ||
+           (d.rows == 0 && d.cols == 0);
+  };
+  if (!width_ok(tbl_d, ServiceTableDim(*system_)) ||
+      !width_ok(col_d, ServiceColumnDim(*system_)) ||
+      !width_ok(ent_d, ServiceEntityDim(*system_))) {
     return Status::ParseError(
         "paged store: embedding width disagrees with the system");
   }

@@ -1,36 +1,20 @@
 #include "service/sharded_service.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
-#include "io/table_io.h"
-#include "service/table_service.h"
 #include "store/paged_snapshot.h"
 #include "store/snapshot_bridge.h"
 #include "util/logging.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 
-namespace {
-
-// Backstop against hostile manifests; far above any sane deployment.
-constexpr uint32_t kMaxShards = 4096;
-
-std::string ShardSectionName(uint32_t i) {
-  return "sharded.shard" + std::to_string(i);
-}
-
-}  // namespace
-
-ShardedTabBinService::ShardedTabBinService(
-    std::shared_ptr<TabBiNSystem> system, int num_shards,
-    ServiceOptions options)
+TabBinService::TabBinService(std::shared_ptr<TabBiNSystem> system,
+                             ServiceOptions options, int num_shards)
     : system_(std::move(system)),
       options_(options),
       hashers_(*system_, options_) {
-  const size_t n = static_cast<size_t>(std::max(1, num_shards));
+  const size_t n = static_cast<size_t>(std::clamp(num_shards, 1, kMaxShards));
   shards_.reserve(n);
   shard_view_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -38,6 +22,8 @@ ShardedTabBinService::ShardedTabBinService(
         std::make_unique<ServiceShard>(system_.get(), options_));
     shard_view_.push_back(shards_.back().get());
   }
+  // Auto mode starts small; AddTables reserves capacity for the whole
+  // corpus as it grows.
   const size_t capacity = options_.encoder_cache_capacity == 0
                               ? 256
                               : options_.encoder_cache_capacity;
@@ -46,19 +32,17 @@ ShardedTabBinService::ShardedTabBinService(
 
 // --- Corpus updates -------------------------------------------------------
 
-Result<AddReport> ShardedTabBinService::AddTables(
-    const std::vector<Table>& tables) {
+Result<AddReport> TabBinService::AddTables(const std::vector<Table>& tables) {
   return ScatterAddTables(core(), tables);
 }
 
-Status ShardedTabBinService::RemoveTable(const std::string& id) {
+Status TabBinService::RemoveTable(const std::string& id) {
   return ScatterRemoveTable(core(), id);
 }
 
-Status ShardedTabBinService::Compact() { return ScatterCompact(core()); }
+Status TabBinService::Compact() { return ScatterCompact(core()); }
 
-void ShardedTabBinService::SetQuantizedScan(bool on,
-                                            int shortlist_multiplier) {
+void TabBinService::SetQuantizedScan(bool on, int shortlist_multiplier) {
   options_.quantized_scan = on;
   options_.quantized_shortlist_multiplier = std::max(1, shortlist_multiplier);
   for (auto& shard : shards_) {
@@ -66,7 +50,7 @@ void ShardedTabBinService::SetQuantizedScan(bool on,
   }
 }
 
-void ShardedTabBinService::SetIndexKind(IndexKind kind, int ef_search) {
+void TabBinService::SetIndexKind(IndexKind kind, int ef_search) {
   options_.index_kind = kind;
   if (ef_search > 0) options_.hnsw_ef_search = ef_search;
   for (auto& shard : shards_) {
@@ -76,341 +60,126 @@ void ShardedTabBinService::SetIndexKind(IndexKind kind, int ef_search) {
 
 // --- Queries --------------------------------------------------------------
 
-Result<QueryResponse> ShardedTabBinService::SimilarColumns(
+Result<QueryResponse> TabBinService::SimilarColumns(
     const ColumnQueryRequest& req) const {
   return ScatterSimilarColumns(core(), req);
 }
 
-Result<QueryResponse> ShardedTabBinService::SimilarTables(
+Result<QueryResponse> TabBinService::SimilarTables(
     const TableQueryRequest& req) const {
   return ScatterSimilarTables(core(), req);
 }
 
-Result<QueryResponse> ShardedTabBinService::SimilarEntities(
+Result<QueryResponse> TabBinService::SimilarEntities(
     const EntityQueryRequest& req) const {
   return ScatterSimilarEntities(core(), req);
 }
 
-std::vector<Result<QueryResponse>> ShardedTabBinService::SimilarColumnsBatch(
+std::vector<Result<QueryResponse>> TabBinService::SimilarColumnsBatch(
     const std::vector<ColumnQueryRequest>& reqs) const {
   return ScatterSimilarColumnsBatch(core(), reqs);
 }
 
-std::vector<Result<QueryResponse>> ShardedTabBinService::SimilarTablesBatch(
+std::vector<Result<QueryResponse>> TabBinService::SimilarTablesBatch(
     const std::vector<TableQueryRequest>& reqs) const {
   return ScatterSimilarTablesBatch(core(), reqs);
 }
 
-std::vector<Result<QueryResponse>> ShardedTabBinService::SimilarEntitiesBatch(
+std::vector<Result<QueryResponse>> TabBinService::SimilarEntitiesBatch(
     const std::vector<EntityQueryRequest>& reqs) const {
   return ScatterSimilarEntitiesBatch(core(), reqs);
 }
 
-Result<AskResponse> ShardedTabBinService::Ask(const AskRequest& req) const {
+Result<AskResponse> TabBinService::Ask(const AskRequest& req) const {
   return ScatterAsk(core(), req);
 }
 
 // --- Embedding accessors --------------------------------------------------
 
-std::vector<float> ShardedTabBinService::ColumnEmbedding(const Table& table,
-                                                         int col) const {
+std::vector<float> TabBinService::ColumnEmbedding(const Table& table,
+                                                  int col) const {
   return ServingColumnEmbedding(core(), table, col);
 }
 
-std::vector<float> ShardedTabBinService::TableEmbedding(
-    const Table& table) const {
+std::vector<float> TabBinService::TableEmbedding(const Table& table) const {
   return ServingTableEmbedding(core(), table);
 }
 
-std::vector<float> ShardedTabBinService::EntityEmbedding(const Table& table,
-                                                         int row,
-                                                         int col) const {
+std::vector<float> TabBinService::EntityEmbedding(const Table& table, int row,
+                                                  int col) const {
   return ServingEntityEmbedding(core(), table, row, col);
 }
 
 // --- Introspection --------------------------------------------------------
 
-size_t ShardedTabBinService::NumLiveTables() const {
+size_t TabBinService::NumLiveTables() const {
   size_t n = 0;
   for (const auto& shard : shards_) n += shard->live_count();
   return n;
 }
 
-size_t ShardedTabBinService::NumIndexedColumns() const {
+size_t TabBinService::NumIndexedColumns() const {
   size_t n = 0;
   for (const auto& shard : shards_) n += shard->indexed_columns();
   return n;
 }
 
-size_t ShardedTabBinService::NumIndexedEntities() const {
+size_t TabBinService::NumIndexedEntities() const {
   size_t n = 0;
   for (const auto& shard : shards_) n += shard->indexed_entities();
   return n;
 }
 
-std::vector<std::string> ShardedTabBinService::LiveTableIds() const {
+std::vector<std::string> TabBinService::LiveTableIds() const {
   std::vector<std::string> ids;
   for (const auto& shard : shards_) shard->AppendLiveIds(&ids);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
-size_t ShardedTabBinService::ShardLiveCount(int shard) const {
+size_t TabBinService::ShardLiveCount(int shard) const {
   if (shard < 0 || shard >= num_shards()) return 0;
   return shards_[static_cast<size_t>(shard)]->live_count();
 }
 
 // --- Persistence ----------------------------------------------------------
-//
-// Layout (inside the standard snapshot container):
-//   "sharded.manifest":  u32 shard count | u64 total live tables |
-//                        u64 live count per shard
-//   "sharded.shard<i>":  u64 live count, then per live table:
-//                        id | table JSON | table embedding row |
-//                        u64 columns (grid col + row each) |
-//                        u64 entities (row, col, surface + row each)
-// Embedding rows are stored so a load re-partitions by pure hashing —
-// re-inserting vectors into fresh LSH indexes, no forward passes.
 
-Status ShardedTabBinService::AppendTo(SnapshotWriter* snapshot) const {
-  system_->AppendTo(snapshot);
-  engine_->AppendCacheTo(snapshot);
-  AppendServiceOptions(options_, snapshot);
-
-  std::vector<std::vector<ServiceShard::LiveTableRows>> exported(
-      shards_.size());
-  uint64_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    TABBIN_RETURN_IF_ERROR(shards_[i]->ExportLive(&exported[i]));
-    total += exported[i].size();
-  }
-
-  BinaryWriter* manifest = snapshot->AddSection("sharded.manifest");
-  manifest->WriteU32(static_cast<uint32_t>(shards_.size()));
-  manifest->WriteU64(total);
-  for (const auto& rows : exported) {
-    manifest->WriteU64(rows.size());
-  }
-
-  for (size_t i = 0; i < exported.size(); ++i) {
-    BinaryWriter* w =
-        snapshot->AddSection(ShardSectionName(static_cast<uint32_t>(i)));
-    w->WriteU64(exported[i].size());
-    for (const ServiceShard::LiveTableRows& rows : exported[i]) {
-      w->WriteString(rows.id);
-      w->WriteString(TableToJson(rows.table).Dump());
-      w->WriteF32Vector(rows.table_vec);
-      w->WriteU64(rows.columns.size());
-      for (const auto& [col, vec] : rows.columns) {
-        w->WriteI32(col);
-        w->WriteF32Vector(vec);
-      }
-      w->WriteU64(rows.entities.size());
-      for (const auto& [ref, vec] : rows.entities) {
-        w->WriteI32(ref.row);
-        w->WriteI32(ref.col);
-        w->WriteString(ref.surface);
-        w->WriteF32Vector(vec);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-namespace {
-
-Result<std::vector<ServiceShard::LiveTableRows>> ParseShardSection(
-    BinaryReader* r, uint64_t expected_live) {
-  TABBIN_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
-  if (n != expected_live) {
-    return Status::ParseError(
-        "sharded snapshot: shard live count disagrees with manifest");
-  }
-  // Every serialized table costs at least five u64 length prefixes; a
-  // count beyond that bound is hostile and must never reach reserve()
-  // (an adversarial manifest could otherwise force a length_error /
-  // bad_alloc crash instead of the contractual ParseError).
-  if (n > r->remaining() / 40) {
-    return Status::ParseError(
-        "sharded snapshot: shard live count past end of stream");
-  }
-  std::vector<ServiceShard::LiveTableRows> rows;
-  rows.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    ServiceShard::LiveTableRows row;
-    TABBIN_ASSIGN_OR_RETURN(row.id, r->ReadString());
-    if (row.id.empty()) {
-      return Status::ParseError("sharded snapshot: empty table id");
-    }
-    TABBIN_ASSIGN_OR_RETURN(std::string json_text, r->ReadString());
-    TABBIN_ASSIGN_OR_RETURN(Json json, Json::Parse(json_text));
-    TABBIN_ASSIGN_OR_RETURN(row.table, TableFromJson(json));
-    TABBIN_ASSIGN_OR_RETURN(row.table_vec, r->ReadF32Vector());
-    TABBIN_ASSIGN_OR_RETURN(uint64_t n_cols, r->ReadU64());
-    for (uint64_t c = 0; c < n_cols; ++c) {
-      TABBIN_ASSIGN_OR_RETURN(int32_t grid_col, r->ReadI32());
-      TABBIN_ASSIGN_OR_RETURN(std::vector<float> vec, r->ReadF32Vector());
-      row.columns.emplace_back(grid_col, std::move(vec));
-    }
-    TABBIN_ASSIGN_OR_RETURN(uint64_t n_ents, r->ReadU64());
-    for (uint64_t e = 0; e < n_ents; ++e) {
-      ServiceShard::EntityRef ref;
-      TABBIN_ASSIGN_OR_RETURN(ref.row, r->ReadI32());
-      TABBIN_ASSIGN_OR_RETURN(ref.col, r->ReadI32());
-      TABBIN_ASSIGN_OR_RETURN(ref.surface, r->ReadString());
-      TABBIN_ASSIGN_OR_RETURN(std::vector<float> vec, r->ReadF32Vector());
-      row.entities.emplace_back(std::move(ref), std::move(vec));
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<ShardedTabBinService>>
-ShardedTabBinService::FromSnapshot(const SnapshotReader& snapshot,
-                                   int num_shards_override) {
-  std::shared_ptr<TabBiNSystem> system;
-  ServiceOptions options;
-  std::vector<ServiceShard::LiveTableRows> rows;
-  uint32_t saved_shards = 1;
-
-  if (snapshot.HasSection("sharded.manifest")) {
-    TABBIN_ASSIGN_OR_RETURN(TabBiNSystem sys,
-                            TabBiNSystem::FromSnapshot(snapshot));
-    system = std::make_shared<TabBiNSystem>(std::move(sys));
-    TABBIN_ASSIGN_OR_RETURN(options, ReadServiceOptions(snapshot));
-
-    TABBIN_ASSIGN_OR_RETURN(BinaryReader manifest,
-                            snapshot.Section("sharded.manifest"));
-    auto shard_count = manifest.ReadU32();
-    auto total_live = manifest.ReadU64();
-    if (!shard_count.ok() || !total_live.ok()) {
-      return Status::ParseError("sharded snapshot: truncated manifest");
-    }
-    saved_shards = shard_count.value();
-    if (saved_shards == 0 || saved_shards > kMaxShards) {
-      return Status::ParseError("sharded snapshot: shard count " +
-                                std::to_string(saved_shards) +
-                                " out of range");
-    }
-    std::vector<uint64_t> per_shard;
-    per_shard.reserve(saved_shards);
-    uint64_t manifest_sum = 0;
-    for (uint32_t i = 0; i < saved_shards; ++i) {
-      auto n = manifest.ReadU64();
-      if (!n.ok()) {
-        return Status::ParseError("sharded snapshot: truncated manifest");
-      }
-      per_shard.push_back(n.value());
-      manifest_sum += n.value();
-    }
-    if (manifest_sum != total_live.value()) {
-      return Status::ParseError(
-          "sharded snapshot: manifest live counts disagree with total");
-    }
-    // The manifest's shard count and the shard sections must agree in
-    // both directions: a missing section loses tables silently, an
-    // extra one means the manifest undercounts.
-    for (uint32_t i = 0; i < saved_shards; ++i) {
-      if (!snapshot.HasSection(ShardSectionName(i))) {
-        return Status::ParseError(
-            "sharded snapshot: manifest declares " +
-            std::to_string(saved_shards) + " shards but section '" +
-            ShardSectionName(i) + "' is missing");
-      }
-    }
-    if (snapshot.HasSection(ShardSectionName(saved_shards))) {
-      return Status::ParseError(
-          "sharded snapshot: more shard sections than the manifest's " +
-          std::to_string(saved_shards));
-    }
-    for (uint32_t i = 0; i < saved_shards; ++i) {
-      TABBIN_ASSIGN_OR_RETURN(BinaryReader r,
-                              snapshot.Section(ShardSectionName(i)));
-      TABBIN_ASSIGN_OR_RETURN(auto shard_rows,
-                              ParseShardSection(&r, per_shard[i]));
-      for (auto& row : shard_rows) rows.push_back(std::move(row));
-    }
-  } else if (snapshot.HasSection("service.tables")) {
-    // Legacy single-service snapshot: let TabBinService run its own
-    // validation, then take its live tables (with stored rows) and
-    // re-partition them. This instantiates (and discards) the single
-    // service — a transient extra index build on this cold path — in
-    // exchange for one copy of the legacy byte-format validation logic.
-    TABBIN_ASSIGN_OR_RETURN(std::unique_ptr<TabBinService> single,
-                            TabBinService::FromSnapshot(snapshot));
-    system = single->shared_system();
-    options = single->options();
-    TABBIN_RETURN_IF_ERROR(single->ExportLive(&rows));
-  } else {
-    return Status::ParseError(
-        "sharded snapshot: no corpus sections (neither sharded.manifest "
-        "nor service.tables)");
-  }
-
-  // A table must be live in exactly one shard; duplicates would leave
-  // an unremovable ghost answering under the same id.
-  std::unordered_set<std::string> seen;
-  seen.reserve(rows.size());
-  for (const auto& row : rows) {
-    if (!seen.insert(row.id).second) {
-      return Status::ParseError(
-          "sharded snapshot: duplicate table id '" + row.id +
-          "' across shards");
-    }
-  }
-
-  const int target = num_shards_override > 0
-                         ? num_shards_override
-                         : static_cast<int>(saved_shards);
-  auto service = std::unique_ptr<ShardedTabBinService>(
-      new ShardedTabBinService(std::move(system), target, options));
-  if (options.encoder_cache_capacity == 0) {
-    service->engine_->Reserve(rows.size());
-  }
-  TABBIN_ASSIGN_OR_RETURN(size_t warmed,
-                          service->engine_->WarmStart(snapshot));
-  (void)warmed;
-
-  // Canonical re-insert order: sorted by id. Insertion order only
-  // shapes internal row ids, which the partition-independent ranking
-  // never consults — so the restored service answers identically to
-  // the saved one, at any shard count.
-  std::sort(rows.begin(), rows.end(),
-            [](const ServiceShard::LiveTableRows& a,
-               const ServiceShard::LiveTableRows& b) { return a.id < b.id; });
-  AddReport discard;
-  for (auto& row : rows) {
-    const size_t shard = ShardIndexFor(row.id, service->shards_.size());
-    TABBIN_RETURN_IF_ERROR(
-        service->shards_[shard]->InsertRows(std::move(row), &discard));
-  }
-  return service;
-}
-
-void ShardedTabBinService::AppendStore(PagedSnapshotWriter* w) const {
+void TabBinService::AppendStore(PagedSnapshotWriter* w) const {
+  // The model sections keep their v1 serializers: they are metadata-
+  // sized, so the paged store just carries their bytes verbatim. The
+  // encoder cache is deliberately NOT bridged — encodes are
+  // deterministic, so a cold cache re-derives identical bits, and
+  // omitting it is a large share of the cold-start win.
   SnapshotWriter bridge;
   system_->AppendTo(&bridge);
   AppendServiceOptions(options_, &bridge);
   AppendBridgeSections(bridge, w);
-  AppendStoreMeta(
-      w, StoreMeta{/*sharded=*/true,
-                   /*shards=*/static_cast<uint32_t>(shards_.size())});
+  AppendStoreMeta(w, static_cast<uint32_t>(shards_.size()));
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->AppendStoreSections(
         w, StoreShardPrefix(static_cast<uint32_t>(i)));
   }
 }
 
-Result<std::unique_ptr<ShardedTabBinService>> ShardedTabBinService::FromStore(
+Result<std::unique_ptr<TabBinService>> TabBinService::FromStore(
     std::shared_ptr<const PagedSnapshotReader> reader,
     int num_shards_override) {
-  TABBIN_ASSIGN_OR_RETURN(StoreMeta meta, ReadStoreMeta(*reader));
-  // A single-service store uses the same "store.s0.*" sections, so it
-  // restores through the identical per-shard path at saved count 1.
-  const uint32_t saved = meta.shards;
+  if (num_shards_override < 0 || num_shards_override > kMaxShards) {
+    return Status::InvalidArgument(
+        "shard count override " + std::to_string(num_shards_override) +
+        " outside [0, " + std::to_string(kMaxShards) + "]");
+  }
+  TABBIN_ASSIGN_OR_RETURN(uint32_t saved, ReadStoreMeta(*reader));
+  // The meta's shard count and the section groups must agree in both
+  // directions: a missing group loses tables silently, an extra one
+  // means the meta undercounts.
+  for (uint32_t i = 0; i < saved; ++i) {
+    if (!reader->HasSection(StoreShardPrefix(i) + "meta")) {
+      return Status::ParseError(
+          "paged store: meta declares " + std::to_string(saved) +
+          " shards but group '" + StoreShardPrefix(i) + "' is missing");
+    }
+  }
   if (reader->HasSection(StoreShardPrefix(saved) + "meta")) {
     return Status::ParseError(
         "paged store: more shard section groups than the meta's " +
@@ -427,8 +196,8 @@ Result<std::unique_ptr<ShardedTabBinService>> ShardedTabBinService::FromStore(
   // Restore at the SAVED count first: with a matching (or absent)
   // override that mapped service is the answer, byte-identical to the
   // saved one (tombstones, bucket pollution and all).
-  auto service = std::unique_ptr<ShardedTabBinService>(
-      new ShardedTabBinService(system, static_cast<int>(saved), options));
+  auto service = std::make_unique<TabBinService>(system, options,
+                                                 static_cast<int>(saved));
   size_t total_slots = 0;
   for (uint32_t i = 0; i < saved; ++i) {
     TABBIN_RETURN_IF_ERROR(service->shards_[i]->RestoreFromStore(
@@ -447,29 +216,32 @@ Result<std::unique_ptr<ShardedTabBinService>> ShardedTabBinService::FromStore(
           "paged store: duplicate table id '" + *dup + "' across shards");
     }
   }
-  const int target = num_shards_override > 0
-                         ? num_shards_override
-                         : static_cast<int>(saved);
+  const int target = num_shards_override > 0 ? num_shards_override
+                                             : static_cast<int>(saved);
   if (target == static_cast<int>(saved)) {
     if (options.encoder_cache_capacity == 0) {
+      // Auto capacity must cover the restored corpus, or cold encodes
+      // of it would evict each other.
       service->engine_->Reserve(total_slots);
     }
     return service;
   }
 
   // Re-partition: materialize the mapped state (parses the lazy table
-  // JSON) and re-insert by hash into a fresh heap-backed service — the
-  // same cold path a legacy re-partition takes.
+  // JSON) and re-insert by hash into a fresh heap-backed service.
   std::vector<ServiceShard::LiveTableRows> rows;
   for (const auto& shard : service->shards_) {
     TABBIN_RETURN_IF_ERROR(shard->ExportLive(&rows));
   }
   service.reset();  // drop the mapping before the heap rebuild
-  auto repart = std::unique_ptr<ShardedTabBinService>(
-      new ShardedTabBinService(std::move(system), target, options));
+  auto repart =
+      std::make_unique<TabBinService>(std::move(system), options, target);
   if (options.encoder_cache_capacity == 0) {
     repart->engine_->Reserve(rows.size());
   }
+  // Canonical re-insert order: sorted by id. Insertion order only
+  // shapes internal row ids, which the partition-independent ranking
+  // never consults — so the result answers identically at any count.
   std::sort(rows.begin(), rows.end(),
             [](const ServiceShard::LiveTableRows& a,
                const ServiceShard::LiveTableRows& b) { return a.id < b.id; });
@@ -482,35 +254,27 @@ Result<std::unique_ptr<ShardedTabBinService>> ShardedTabBinService::FromStore(
   return repart;
 }
 
-Status ShardedTabBinService::Save(const std::string& path) const {
+Status TabBinService::Save(const std::string& path) const {
   PagedSnapshotWriter w;
   AppendStore(&w);
   return WriteStoreSnapshot(path, w);
 }
 
-Status ShardedTabBinService::SaveV1(const std::string& path) const {
-  SnapshotWriter snapshot;
-  TABBIN_RETURN_IF_ERROR(AppendTo(&snapshot));
-  return snapshot.ToFile(path);
-}
-
-Result<std::unique_ptr<ShardedTabBinService>> ShardedTabBinService::Load(
+Result<std::unique_ptr<TabBinService>> TabBinService::Load(
     const std::string& path, int num_shards_override) {
   TABBIN_ASSIGN_OR_RETURN(std::string file, ResolveSnapshotPath(path));
   TABBIN_ASSIGN_OR_RETURN(uint32_t version, PeekSnapshotVersion(file));
-  if (version >= 2) {
-    TABBIN_ASSIGN_OR_RETURN(PagedSnapshotReader r,
-                            PagedSnapshotReader::Open(file));
-    return FromStore(
-        std::make_shared<const PagedSnapshotReader>(std::move(r)),
-        num_shards_override);
+  if (version < 2) {
+    return Status::ParseError(
+        "v1 service snapshot; rebuild with build-service");
   }
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(file));
-  return FromSnapshot(snapshot, num_shards_override);
+  TABBIN_ASSIGN_OR_RETURN(PagedSnapshotReader r,
+                          PagedSnapshotReader::Open(file));
+  return FromStore(std::make_shared<const PagedSnapshotReader>(std::move(r)),
+                   num_shards_override);
 }
 
-bool ShardedTabBinService::IsMapped() const {
+bool TabBinService::IsMapped() const {
   for (const auto& shard : shards_) {
     if (shard->is_mapped()) return true;
   }
@@ -522,43 +286,15 @@ bool ShardedTabBinService::IsMapped() const {
 std::unique_ptr<TabBinServing> MakeServing(
     std::shared_ptr<TabBiNSystem> system, int num_shards,
     ServiceOptions options) {
-  if (num_shards <= 1) {
-    return std::make_unique<TabBinService>(std::move(system), options);
-  }
-  return std::make_unique<ShardedTabBinService>(std::move(system),
-                                                num_shards, options);
+  return std::make_unique<TabBinService>(std::move(system), options,
+                                         num_shards);
 }
 
 Result<std::unique_ptr<TabBinServing>> LoadServing(const std::string& path,
                                                    int num_shards_override) {
-  TABBIN_ASSIGN_OR_RETURN(std::string file, ResolveSnapshotPath(path));
-  TABBIN_ASSIGN_OR_RETURN(uint32_t version, PeekSnapshotVersion(file));
-  if (version >= 2) {
-    TABBIN_ASSIGN_OR_RETURN(PagedSnapshotReader r,
-                            PagedSnapshotReader::Open(file));
-    auto reader = std::make_shared<const PagedSnapshotReader>(std::move(r));
-    TABBIN_ASSIGN_OR_RETURN(StoreMeta meta, ReadStoreMeta(*reader));
-    if (meta.sharded || num_shards_override > 0) {
-      auto sharded = ShardedTabBinService::FromStore(std::move(reader),
-                                                     num_shards_override);
-      if (!sharded.ok()) return sharded.status();
-      return std::unique_ptr<TabBinServing>(std::move(sharded).value());
-    }
-    auto single = TabBinService::FromStore(std::move(reader));
-    if (!single.ok()) return single.status();
-    return std::unique_ptr<TabBinServing>(std::move(single).value());
-  }
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(file));
-  if (snapshot.HasSection("sharded.manifest") || num_shards_override > 0) {
-    auto sharded =
-        ShardedTabBinService::FromSnapshot(snapshot, num_shards_override);
-    if (!sharded.ok()) return sharded.status();
-    return std::unique_ptr<TabBinServing>(std::move(sharded).value());
-  }
-  auto single = TabBinService::FromSnapshot(snapshot);
-  if (!single.ok()) return single.status();
-  return std::unique_ptr<TabBinServing>(std::move(single).value());
+  TABBIN_ASSIGN_OR_RETURN(std::unique_ptr<TabBinService> service,
+                          TabBinService::Load(path, num_shards_override));
+  return std::unique_ptr<TabBinServing>(std::move(service));
 }
 
 }  // namespace tabbin

@@ -1,33 +1,51 @@
-// ShardedTabBinService — the scatter-gather serving core.
+// TabBinService — the serving facade over the whole encode → index →
+// query lifecycle, scatter-gathered over N >= 1 hash-partitioned shards.
 //
-// TabBinService serializes every corpus update behind one
-// SharedMutex; its own stress test documents writer starvation
-// once readers keep the lock's duty cycle near 100%. This service
-// partitions the corpus across N ServiceShards by a stable hash of the
-// table id (ShardIndexFor: FNV-1a 64 mod N), each shard owning its own
-// embedding rows, LSH indexes, Ask lexical stats, and SharedMutex —
-// so a write to one shard never blocks reads on the others.
+// Callers hold one object behind a Status/Result request/response API
+// instead of hand-wiring TabBiNSystem + EncoderEngine + LshIndex:
 //
-// Queries scatter across the shards on ThreadPool::Global() and merge
-// the per-shard top-k with the partition-independent ServiceMatchOrder
-// (score desc, then table id / col / row). Because every shard builds
-// its LSH indexes from the same seed and the Ask lexical gate is
-// doc-local, the merged answer is byte-identical to what a single-shard
-// TabBinService returns over the same corpus — for any shard count
-// (tests/sharded_service_test.cc proves shards ∈ {1, 3, 8}).
+//   auto sys = std::make_shared<TabBiNSystem>(
+//       TabBiNSystem::Create(corpus, config));
+//   sys->Pretrain(corpus);
+//   TabBinService svc(sys);                          // one shard
+//   auto report = svc.AddTables(corpus);             // incremental insert
+//   auto similar = svc.SimilarTables({.table_id = "t-3", .k = 5});
+//   auto grounded = svc.Ask({.question = "overall survival months"});
+//   svc.Save("service.tbsn");                        // v2 paged store
 //
-// Consistency: each endpoint is atomic per shard. A multi-table
-// AddTables batch is applied under each owning shard's writer lock, but
-// a concurrent reader may observe shard A's part of the batch before
-// shard B's — the price of independent shard locks.
+// Sharding: the corpus is partitioned across N ServiceShards by a
+// stable hash of the table id (ShardIndexFor: FNV-1a 64 mod N), each
+// shard owning its own embedding rows, LSH indexes, Ask lexical stats,
+// and SharedMutex — so a write to one shard never blocks reads on the
+// others. Queries scatter across the shards (on ThreadPool::Global()
+// when N > 1, inline when N == 1) and merge the per-shard top-k with
+// the partition-independent ServiceMatchOrder (score desc, then table
+// id / col / row). Because every shard builds its LSH indexes from the
+// same seed and the Ask lexical gate is doc-local, the merged answer is
+// byte-identical at every shard count (tests/sharded_service_test.cc
+// pins N ∈ {3, 8} against N = 1).
 //
-// Persistence: Save writes a shard manifest ("sharded.manifest") plus
-// one live-rows section per shard ("sharded.shard<i>") into the
-// standard snapshot container, alongside the system, encoder cache, and
-// options sections. Load re-partitions: the target shard count may
-// differ from the saved one (and a legacy single-service snapshot loads
-// too) — stored embedding rows are re-inserted by hash, with no encoder
-// forward passes.
+// Incremental updates: AddTables encodes new tables through
+// EncoderEngine::EncodeBatch and inserts their embeddings into the live
+// per-task indexes — no full rebuild. RemoveTable tombstones; dead
+// entries are filtered out of every response until Compact.
+//
+// Thread-safety: queries (Similar* / Ask and the *Embedding accessors)
+// may run from any number of threads; AddTables / RemoveTable take the
+// owning shards' writer locks. Each shard's ranking pass runs under one
+// shared-lock hold. A multi-table AddTables batch is applied under each
+// owning shard's writer lock, so a concurrent reader may observe shard
+// A's part of the batch before shard B's — the price of independent
+// shard locks. A query's vector resolution is a separate (earlier) lock
+// hold: a write that lands between the two is visible to the ranking
+// but not to the already-resolved query embedding.
+//
+// Persistence: Save writes the TBSN v2 paged store (store/paged_snapshot.h)
+// — bridged system/options sections, "store.meta" with the shard count,
+// and one "store.s<i>.*" section group per shard. Load maps it back
+// zero-copy at the saved shard count, or re-partitions onto a different
+// one by re-inserting the stored embedding rows by hash (no encoder
+// forward passes).
 #ifndef TABBIN_SERVICE_SHARDED_SERVICE_H_
 #define TABBIN_SERVICE_SHARDED_SERVICE_H_
 
@@ -43,20 +61,36 @@
 
 namespace tabbin {
 
-class ShardedTabBinService : public TabBinServing {
+class TabBinService : public TabBinServing {
  public:
-  /// \param num_shards Partition count; clamped to >= 1. More shards
-  /// buy write concurrency at a small per-query merge cost.
-  ShardedTabBinService(std::shared_ptr<TabBiNSystem> system, int num_shards,
-                       ServiceOptions options = {});
+  /// \param system Trained (or deterministically initialized) system;
+  /// shared so callers may keep using it directly (e.g. baselines that
+  /// borrow its vocabulary).
+  /// \param num_shards Partition count; clamped to [1, kMaxShards]. More
+  /// shards buy write concurrency at a small per-query merge cost.
+  explicit TabBinService(std::shared_ptr<TabBiNSystem> system,
+                         ServiceOptions options = {}, int num_shards = 1);
 
-  ShardedTabBinService(const ShardedTabBinService&) = delete;
-  ShardedTabBinService& operator=(const ShardedTabBinService&) = delete;
+  TabBinService(const TabBinService&) = delete;
+  TabBinService& operator=(const TabBinService&) = delete;
 
   // --- Corpus updates (per-shard writer locks) --------------------------
 
+  /// \brief Validates, encodes (batched, outside every lock) and inserts
+  /// tables into the live indexes. Atomic per shard: on a validation or
+  /// encode error nothing was inserted. A table whose id is already live
+  /// replaces the old entry. Tables with empty ids get a
+  /// content-fingerprint id.
   Result<AddReport> AddTables(const std::vector<Table>& tables) override;
+
+  /// \brief Tombstones a live table; its columns/entities stop appearing
+  /// in responses. NotFound when no live table has the id.
   Status RemoveTable(const std::string& id) override;
+
+  /// \brief Rebuilds every index over the live tables only, reclaiming
+  /// the memory and bucket pollution that removals/replacements leave
+  /// behind. Holds each shard's writer lock in turn — an admin
+  /// operation, not a per-request call. Answers are unchanged.
   Status Compact() override;
 
   /// \brief Flips the int8 two-stage first-pass scorer on every shard
@@ -68,11 +102,13 @@ class ShardedTabBinService : public TabBinServing {
   void SetQuantizedScan(bool on, int shortlist_multiplier = 4) override;
 
   /// \brief Switches the Similar* candidate generator on every shard
-  /// (each under its own writer lock). Graph walks are shard-local, so
-  /// with hnsw ON the candidate pools — and therefore answers — may
-  /// differ across shard counts (same caveat class as the quantized
-  /// scan: score arithmetic never differs, only candidate membership);
-  /// the LSH default keeps the exact N-shard == 1-shard byte-identity.
+  /// (each under its own writer lock). The graphs persist as optional
+  /// v2 store sections: Save after enabling writes them, and loading
+  /// such a snapshot re-engages the graph path without this call.
+  /// Graph walks are shard-local, so with hnsw ON the candidate pools —
+  /// and therefore answers — may differ across shard counts (same
+  /// caveat class as the quantized scan); the LSH default keeps the
+  /// exact N-shard == 1-shard byte-identity.
   void SetIndexKind(IndexKind kind, int ef_search = 0) override;
 
   // --- Queries (scatter-gather; safe from many threads) -----------------
@@ -93,6 +129,9 @@ class ShardedTabBinService : public TabBinServing {
       const std::vector<EntityQueryRequest>& reqs) const override;
 
   // --- Embedding accessors ----------------------------------------------
+  // The exact embedding path the indexes are built from, cached through
+  // the engine; thread-safe. Benchmarks and evaluation pipelines route
+  // through these so paper numbers exercise the serving code.
 
   std::vector<float> ColumnEmbedding(const Table& table,
                                      int col) const override;
@@ -103,7 +142,7 @@ class ShardedTabBinService : public TabBinServing {
   // --- Introspection ----------------------------------------------------
 
   size_t NumLiveTables() const override;
-  size_t NumIndexedColumns() const override;
+  size_t NumIndexedColumns() const override;  // includes tombstones
   size_t NumIndexedEntities() const override;
   std::vector<std::string> LiveTableIds() const override;
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -118,51 +157,37 @@ class ShardedTabBinService : public TabBinServing {
 
   // --- Persistence ------------------------------------------------------
 
-  /// \brief Appends system, encoder cache, options, the shard manifest,
-  /// and one live-rows section per shard in the legacy v1 format.
-  /// Shards are exported one at a time (each under its own reader
-  /// lock); concurrent writers may land between shard exports, so
-  /// snapshot under a write-quiesced service when cross-shard
-  /// point-in-time consistency matters. Fallible: mapped shards parse
-  /// their lazy table JSON during export.
-  Status AppendTo(SnapshotWriter* snapshot) const;
-
-  /// \brief Restores a sharded snapshot — or a legacy single-service
-  /// snapshot — re-partitioning onto `num_shards_override` shards
-  /// (0 = the saved shard count; 1 for legacy snapshots). Corrupt
-  /// manifests (truncated, shard-count/section mismatch, duplicate
-  /// table ids across shards, bad embedding widths) come back as
-  /// ParseError, never UB.
-  static Result<std::unique_ptr<ShardedTabBinService>> FromSnapshot(
-      const SnapshotReader& snapshot, int num_shards_override = 0);
-
   /// \brief Appends the service as a TBSN v2 paged store: bridged
   /// system/options sections, the store meta, and per-shard full state
-  /// ("store.s<i>.*", embedding blocks page-aligned). The encoder
-  /// cache is deliberately omitted (deterministic re-encode).
+  /// ("store.s<i>.*", embedding blocks page-aligned). The encoder cache
+  /// is deliberately omitted — encodes are deterministic, so a cold
+  /// cache re-derives identical bits. Shards are written one at a time
+  /// (each under its own reader lock); snapshot a write-quiesced
+  /// service when cross-shard point-in-time consistency matters.
   void AppendStore(PagedSnapshotWriter* w) const;
 
-  /// \brief Restores a paged store — sharded or single — serving each
-  /// shard zero-copy off the mapped snapshot. With
+  /// \brief Restores a paged store, serving each shard zero-copy off the
+  /// mapped snapshot (`reader` is retained as the keepalive). With
   /// `num_shards_override` == 0 (or == the saved count) the restore is
   /// byte-identical to the saved service, including tombstones and
   /// candidates counts. A differing override re-partitions: the mapped
-  /// state is materialized and re-inserted by hash (heap-backed, same
-  /// cold path as a legacy re-partition).
-  static Result<std::unique_ptr<ShardedTabBinService>> FromStore(
+  /// state is materialized and re-inserted by hash (heap-backed).
+  /// Corrupt input — shard-count/section-group mismatch, a table id live
+  /// in two shards, bad embedding widths — is ParseError, never UB; an
+  /// override outside [0, kMaxShards] is InvalidArgument.
+  static Result<std::unique_ptr<TabBinService>> FromStore(
       std::shared_ptr<const PagedSnapshotReader> reader,
       int num_shards_override = 0);
 
-  /// \brief Saves in the v2 paged format: single file (atomic replace)
-  /// or generation directory (store/generation.h).
+  /// \brief Saves in the v2 paged format: to a single snapshot file
+  /// (atomic replace), or — when `path` is an existing directory — as a
+  /// new generation behind its MANIFEST (store/generation.h).
   Status Save(const std::string& path) const override;
 
-  /// \brief Saves in the legacy v1 stream format.
-  Status SaveV1(const std::string& path) const;
-
-  /// \brief Loads either format (directories resolve through the
-  /// generation manifest; the version byte dispatches v1 / v2).
-  static Result<std::unique_ptr<ShardedTabBinService>> Load(
+  /// \brief Loads a v2 paged store (directories resolve through the
+  /// generation manifest) via FromStore. A v1 stream file is ParseError:
+  /// the v1 service formats are gone, so rebuild with build-service.
+  static Result<std::unique_ptr<TabBinService>> Load(
       const std::string& path, int num_shards_override = 0);
 
   /// \brief True when any shard serves off a mapped snapshot.
@@ -188,17 +213,15 @@ class ShardedTabBinService : public TabBinServing {
   std::vector<ServiceShard*> shard_view_;
 };
 
-/// \brief Factory for the `--shards=N` knob: N <= 1 builds a
-/// TabBinService, N > 1 a ShardedTabBinService.
+/// \brief Factory for the `--shards=N` knob: a TabBinService over
+/// `num_shards` shards (clamped to [1, kMaxShards]).
 std::unique_ptr<TabBinServing> MakeServing(
     std::shared_ptr<TabBiNSystem> system, int num_shards,
     ServiceOptions options = {});
 
-/// \brief Loads whichever service format `path` holds behind the
-/// TabBinServing interface. `num_shards_override` > 0 re-partitions
-/// onto that many shards (any source format); 0 keeps the saved layout
-/// (legacy snapshots restore as a TabBinService, sharded ones at their
-/// saved shard count).
+/// \brief TabBinService::Load behind the TabBinServing interface.
+/// `num_shards_override` > 0 re-partitions onto that many shards; 0
+/// keeps the saved layout.
 Result<std::unique_ptr<TabBinServing>> LoadServing(
     const std::string& path, int num_shards_override = 0);
 

@@ -20,7 +20,6 @@
 #include "exec/bounded_queue.h"
 #include "exec/executor.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 
 namespace tabbin {
 namespace {
@@ -51,14 +50,10 @@ std::shared_ptr<TabBiNSystem> SharedSystem() {
   return sys;
 }
 
-/// A loaded serving instance: 1 shard -> TabBinService, else sharded.
+/// A loaded serving instance over `shards` shards.
 std::unique_ptr<TabBinServing> MakeLoadedServing(int shards) {
-  std::unique_ptr<TabBinServing> svc;
-  if (shards <= 1) {
-    svc = std::make_unique<TabBinService>(SharedSystem());
-  } else {
-    svc = std::make_unique<ShardedTabBinService>(SharedSystem(), shards);
-  }
+  std::unique_ptr<TabBinServing> svc =
+      std::make_unique<TabBinService>(SharedSystem(), ServiceOptions{}, shards);
   auto report = svc->AddTables(SharedCorpus().corpus.tables);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return svc;
@@ -467,8 +462,8 @@ TEST(AsyncExecutorTest, OverflowRejectsImmediatelyWithResourceExhausted) {
 TEST(AsyncExecutorTest, WriterLaneProgressesUnderFullDutyReaders) {
   const auto& tables = SharedCorpus().corpus.tables;
   const size_t base = 8;  // always-live probe set; the rest streams in
-  auto svc =
-      std::make_unique<ShardedTabBinService>(SharedSystem(), /*shards=*/4);
+  auto svc = std::make_unique<TabBinService>(SharedSystem(), ServiceOptions{},
+                                             /*num_shards=*/4);
   ASSERT_TRUE(svc->AddTables(std::vector<Table>(tables.begin(),
                                                 tables.begin() + base))
                   .ok());

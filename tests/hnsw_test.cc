@@ -30,7 +30,6 @@
 #include "datagen/corpus_gen.h"
 #include "index/hnsw_index.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "store/paged_snapshot.h"
 #include "tensor/embedding_matrix.h"
 #include "tensor/kernels.h"
@@ -597,7 +596,7 @@ TEST(HnswServiceTest, KnobOffByteIdentityAtOneAndEightShards) {
   toggled.SetIndexKind(kIndexHnsw, 64);
   toggled.SetIndexKind(kIndexLsh);
 
-  ShardedTabBinService sharded(sys, 8);
+  TabBinService sharded(sys, {}, 8);
   ASSERT_TRUE(sharded.AddTables(tables).ok());
   sharded.SetIndexKind(kIndexHnsw, 64);
   sharded.SetIndexKind(kIndexLsh);

@@ -13,7 +13,6 @@
 #include "io/table_io.h"
 #include "meta/value_parser.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "table/bicoord.h"
 #include "tasks/metrics.h"
 #include "tensor/ops.h"
@@ -334,7 +333,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorProperty, ::testing::Values(5, 9));
 // ---------------------------------------------------------------------------
 
 // Random Add/Remove/replace/Compact sequences driven by a seeded RNG
-// must keep ShardedTabBinService answers equal to the single-shard
+// must keep 3-shard TabBinService answers equal to the 1-shard
 // service AND to a brute-force oracle: every returned score is
 // recomputed as the exact cosine of independently derived embeddings,
 // the ranking is monotone, only live tables appear, and the live set
@@ -369,7 +368,7 @@ TEST_P(ShardedChurnProperty, ShardedMatchesSingleServiceAndExactCosine) {
   auto sys = std::make_shared<TabBiNSystem>(
       TabBiNSystem::Create(initial, cfg));
   TabBinService single(sys);
-  ShardedTabBinService sharded(sys, 3);
+  TabBinService sharded(sys, {}, 3);
   std::map<std::string, Table> oracle;
 
   auto add_all = [&](const std::vector<Table>& batch) {

@@ -16,7 +16,6 @@
 #include "gtest/gtest.h"
 #include "llm/rag_simulator.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "tasks/clustering.h"
 #include "tensor/embedding_matrix.h"
 #include "tensor/kernels.h"

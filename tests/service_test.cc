@@ -16,7 +16,7 @@
 
 #include "datagen/corpus_gen.h"
 #include "exec/executor.h"
-#include "service/table_service.h"
+#include "service/sharded_service.h"
 
 namespace tabbin {
 namespace {

@@ -1,20 +1,21 @@
-// Cross-shard equivalence and stress suite for ShardedTabBinService.
+// Cross-shard equivalence and stress suite for TabBinService.
 //
 // The load-bearing claim of the sharded serving core is that hash
 // partitioning is *invisible* to callers: for any shard count, every
-// endpoint returns byte-identical ranked results to the single-shard
+// endpoint returns byte-identical ranked results to a 1-shard
 // TabBinService over the same corpus — including after interleaved
 // Add/Remove/replace/Compact churn, through snapshot save/load, and
-// across re-partitioning (loading an 8-shard snapshot into 3 shards,
-// or a legacy single-service snapshot into N shards). These tests are
-// the contract every future scaling PR must keep; CI runs them under
-// ASan/UBSan and TSan, plus a dedicated `ctest -R sharded` smoke step.
+// across re-partitioning (loading an 8-shard store into 3 shards, or a
+// 1-shard store into 8). These tests are the contract every future
+// scaling change must keep; CI runs them under ASan/UBSan and TSan,
+// plus a dedicated `ctest -R sharded` smoke step. The store-level
+// corruption cases (shard-count / section-group mismatches, duplicate
+// ids across shards) live in store_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,8 +23,6 @@
 
 #include "datagen/corpus_gen.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 namespace {
@@ -128,12 +127,12 @@ void ExpectEquivalent(const TabBinServing& ref, const TabBinServing& svc,
 
 class ShardedEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-// Acceptance: shards ∈ {1, 3, 8} answer byte-identically to the
-// single-shard TabBinService on the same corpus — all query types.
+// Acceptance: shards ∈ {1, 3, 8} answer byte-identically to a 1-shard
+// TabBinService on the same corpus — all query types.
 TEST_P(ShardedEquivalenceTest, AllEndpointsMatchSingleShardService) {
   const auto& tables = SharedCorpus().corpus.tables;
   TabBinService ref(SharedSystem());
-  ShardedTabBinService svc(SharedSystem(), GetParam());
+  TabBinService svc(SharedSystem(), {}, GetParam());
   EXPECT_EQ(svc.num_shards(), GetParam());
 
   // Incremental adds in two batches on the sharded side, one batch on
@@ -155,7 +154,7 @@ TEST_P(ShardedEquivalenceTest, AllEndpointsMatchSingleShardService) {
 TEST_P(ShardedEquivalenceTest, EquivalentAfterChurnAndCompact) {
   const auto& tables = SharedCorpus().corpus.tables;
   TabBinService ref(SharedSystem());
-  ShardedTabBinService svc(SharedSystem(), GetParam());
+  TabBinService svc(SharedSystem(), {}, GetParam());
   ASSERT_TRUE(ref.AddTables(tables).ok());
   ASSERT_TRUE(svc.AddTables(tables).ok());
 
@@ -201,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, ShardedEquivalenceTest,
                          ::testing::Values(1, 3, 8));
 
 TEST(ShardedServiceTest, HashPartitioningActuallySpreadsTables) {
-  ShardedTabBinService svc(SharedSystem(), 8);
+  TabBinService svc(SharedSystem(), {}, 8);
   ASSERT_TRUE(svc.AddTables(SharedCorpus().corpus.tables).ok());
   int populated = 0;
   for (int s = 0; s < svc.num_shards(); ++s) {
@@ -218,7 +217,7 @@ TEST(ShardedServiceTest, HashPartitioningActuallySpreadsTables) {
 }
 
 TEST(ShardedServiceTest, StatusErrorEdgesMatchSingleService) {
-  ShardedTabBinService svc(SharedSystem(), 3);
+  TabBinService svc(SharedSystem(), {}, 3);
   ASSERT_TRUE(svc.AddTables({SharedCorpus().corpus.tables[0]}).ok());
   const std::string id = SharedCorpus().corpus.tables[0].id();
   EXPECT_EQ(svc.SimilarTables({"no-such-id", nullptr, 5}).status().code(),
@@ -239,12 +238,12 @@ TEST(ShardedServiceTest, StatusErrorEdgesMatchSingleService) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots: round-trip, re-partitioning, format cross-compatibility
+// Snapshots: round-trip, re-partitioning, shard-count bounds
 // ---------------------------------------------------------------------------
 
 TEST(ShardedSnapshotTest, RoundTripAnswersIdenticallyAtAnyShardCount) {
   const auto& tables = SharedCorpus().corpus.tables;
-  ShardedTabBinService svc(SharedSystem(), 8);
+  TabBinService svc(SharedSystem(), {}, 8);
   ASSERT_TRUE(svc.AddTables(tables).ok());
   ASSERT_TRUE(svc.RemoveTable(tables[3].id()).ok());
 
@@ -259,19 +258,19 @@ TEST(ShardedSnapshotTest, RoundTripAnswersIdenticallyAtAnyShardCount) {
   // re-partition by hash and answers never change.
   for (int target : {8, 3, 1}) {
     SCOPED_TRACE("target shards " + std::to_string(target));
-    auto loaded = ShardedTabBinService::Load(path, target);
+    auto loaded = TabBinService::Load(path, target);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded.value()->num_shards(), target);
     ExpectEquivalent(svc, *loaded.value(), live);
   }
   // Default target = the saved shard count.
-  auto loaded = ShardedTabBinService::Load(path);
+  auto loaded = TabBinService::Load(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value()->num_shards(), 8);
   std::remove(path.c_str());
 }
 
-TEST(ShardedSnapshotTest, SingleServiceSnapshotLoadsIntoShards) {
+TEST(ShardedSnapshotTest, OneShardStoreLoadsIntoEightShards) {
   const auto& tables = SharedCorpus().corpus.tables;
   TabBinService single(SharedSystem());
   ASSERT_TRUE(single.AddTables(tables).ok());
@@ -284,19 +283,19 @@ TEST(ShardedSnapshotTest, SingleServiceSnapshotLoadsIntoShards) {
   for (const Table& t : tables) {
     if (t.id() != tables[7].id()) live.push_back(t);
   }
-  auto sharded = ShardedTabBinService::Load(path, 8);
+  auto sharded = TabBinService::Load(path, 8);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(sharded.value()->num_shards(), 8);
   ExpectEquivalent(single, *sharded.value(), live);
   std::remove(path.c_str());
 }
 
-TEST(ShardedSnapshotTest, LoadServingAutoDetectsFormat) {
+TEST(ShardedSnapshotTest, LoadServingKeepsSavedLayoutOrRepartitions) {
   const auto& tables = SharedCorpus().corpus.tables;
   const std::string sharded_path = "/tmp/tabbin_serving_sharded.tbsn";
   const std::string single_path = "/tmp/tabbin_serving_single.tbsn";
   {
-    ShardedTabBinService svc(SharedSystem(), 3);
+    TabBinService svc(SharedSystem(), {}, 3);
     ASSERT_TRUE(svc.AddTables(tables).ok());
     ASSERT_TRUE(svc.Save(sharded_path).ok());
     TabBinService single(SharedSystem());
@@ -309,7 +308,7 @@ TEST(ShardedSnapshotTest, LoadServingAutoDetectsFormat) {
   auto b = LoadServing(single_path);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(b.value()->NumLiveTables(), tables.size());
-  // Override re-partitions either format.
+  // Override re-partitions a 1-shard store too.
   auto c = LoadServing(single_path, 4);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   auto ct = c.value()->SimilarTables({tables[0].id(), nullptr, 5});
@@ -320,153 +319,65 @@ TEST(ShardedSnapshotTest, LoadServingAutoDetectsFormat) {
   std::remove(single_path.c_str());
 }
 
-// --- Corrupt-input suite for the shard manifest ---------------------------
-// Follows the snapshot_test.cc pattern: build a valid snapshot, corrupt
-// one aspect, and require a ParseError — never a crash (CI runs these
-// under ASan/UBSan).
-
-std::map<std::string, std::vector<uint8_t>> SectionBytes(
-    const SnapshotReader& snapshot) {
-  std::map<std::string, std::vector<uint8_t>> out;
-  for (const auto& name : snapshot.SectionNames()) {
-    auto r = snapshot.Section(name);
-    EXPECT_TRUE(r.ok());
-    out[name] = std::move(r.value()).TakeBuffer();
+// Shards that never held a table save their matrices with no width;
+// the store must still open (and accept inserts) at any shard count —
+// including an entirely empty service.
+TEST(ShardedSnapshotTest, EmptyShardsRoundTrip) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  const std::string path = "/tmp/tabbin_sharded_empty.tbsn";
+  TabBinService svc(SharedSystem(), {}, 8);
+  ASSERT_TRUE(svc.AddTables({tables[0], tables[1]}).ok());
+  int empty = 0;
+  for (int s = 0; s < svc.num_shards(); ++s) {
+    empty += svc.ShardLiveCount(s) == 0 ? 1 : 0;
   }
-  return out;
-}
-
-Result<SnapshotReader> Reassemble(
-    const std::map<std::string, std::vector<uint8_t>>& sections) {
-  SnapshotWriter w;
-  for (const auto& [name, bytes] : sections) {
-    w.AddSection(name)->WriteBytes(bytes.data(), bytes.size());
-  }
-  return SnapshotReader::FromBuffer(w.Assemble());
-}
-
-std::vector<uint8_t> ManifestBytes(uint32_t shards,
-                                   const std::vector<uint64_t>& counts) {
-  BinaryWriter w;
-  w.WriteU32(shards);
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  w.WriteU64(total);
-  for (uint64_t c : counts) w.WriteU64(c);
-  return std::move(w).TakeBuffer();
-}
-
-class ShardedManifestCorruptionTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ShardedTabBinService svc(SharedSystem(), 2);
-    ASSERT_TRUE(svc.AddTables(SharedCorpus().corpus.tables).ok());
-    live0_ = svc.ShardLiveCount(0);
-    live1_ = svc.ShardLiveCount(1);
-    ASSERT_GT(live0_, 0u);
-    ASSERT_GT(live1_, 0u);
-    SnapshotWriter w;
-    ASSERT_TRUE(svc.AppendTo(&w).ok());
-    auto snapshot = SnapshotReader::FromBuffer(w.Assemble());
-    ASSERT_TRUE(snapshot.ok());
-    sections_ = SectionBytes(snapshot.value());
+  ASSERT_GT(empty, 0);
+  ASSERT_TRUE(svc.Save(path).ok());
+  for (int target : {0, 3}) {
+    SCOPED_TRACE("target shards " + std::to_string(target));
+    auto loaded = TabBinService::Load(path, target);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectEquivalent(svc, *loaded.value(), {tables[0], tables[1]});
   }
 
-  void ExpectParseError(
-      const std::map<std::string, std::vector<uint8_t>>& sections,
-      const std::string& what) {
-    auto snapshot = Reassemble(sections);
-    ASSERT_TRUE(snapshot.ok()) << what;  // container itself is valid
-    auto loaded = ShardedTabBinService::FromSnapshot(snapshot.value());
-    ASSERT_FALSE(loaded.ok()) << what;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
-        << what << ": " << loaded.status().ToString();
+  TabBinService none(SharedSystem());
+  ASSERT_TRUE(none.Save(path).ok());
+  auto reopened = TabBinService::Load(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->NumLiveTables(), 0u);
+  ASSERT_TRUE(none.AddTables({tables[2]}).ok());
+  ASSERT_TRUE(reopened.value()->AddTables({tables[2]}).ok());
+  ExpectEquivalent(none, *reopened.value(), {tables[2]});
+  std::remove(path.c_str());
+}
+
+// The shard count is outside input (a CLI flag, a caller's argument):
+// an override above kMaxShards must fail before any shard is built, in
+// both load entry points; a constructor count below 1 clamps to 1.
+TEST(ShardedSnapshotTest, ShardCountOverrideIsBounded) {
+  const std::string path = "/tmp/tabbin_sharded_bound.tbsn";
+  {
+    TabBinService svc(SharedSystem(), {}, 2);
+    ASSERT_TRUE(svc.AddTables({SharedCorpus().corpus.tables[0]}).ok());
+    ASSERT_TRUE(svc.Save(path).ok());
   }
-
-  size_t live0_ = 0, live1_ = 0;
-  std::map<std::string, std::vector<uint8_t>> sections_;
-};
-
-TEST_F(ShardedManifestCorruptionTest, IntactSnapshotLoads) {
-  auto snapshot = Reassemble(sections_);
-  ASSERT_TRUE(snapshot.ok());
-  auto loaded = ShardedTabBinService::FromSnapshot(snapshot.value());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->NumLiveTables(), live0_ + live1_);
-}
-
-TEST_F(ShardedManifestCorruptionTest, TruncatedManifestRejected) {
-  auto corrupt = sections_;
-  corrupt["sharded.manifest"].resize(2);
-  ExpectParseError(corrupt, "manifest truncated to 2 bytes");
-  corrupt["sharded.manifest"].clear();
-  ExpectParseError(corrupt, "empty manifest");
-  // Truncated inside the per-shard count list.
-  corrupt["sharded.manifest"] = ManifestBytes(2, {live0_, live1_});
-  corrupt["sharded.manifest"].resize(4 + 8 + 8 + 3);
-  ExpectParseError(corrupt, "manifest cut mid per-shard counts");
-}
-
-TEST_F(ShardedManifestCorruptionTest, ShardCountSectionMismatchRejected) {
-  // Manifest claims three shards; only two sections exist.
-  auto corrupt = sections_;
-  corrupt["sharded.manifest"] = ManifestBytes(3, {live0_, live1_, 0});
-  ExpectParseError(corrupt, "manifest count > sections");
-  // Manifest claims one shard; a second section exists.
-  corrupt = sections_;
-  corrupt["sharded.manifest"] = ManifestBytes(1, {live0_});
-  ExpectParseError(corrupt, "manifest count < sections");
-  // A shard section vanished entirely.
-  corrupt = sections_;
-  corrupt.erase("sharded.shard1");
-  ExpectParseError(corrupt, "missing shard section");
-  // Zero and absurd shard counts.
-  corrupt = sections_;
-  corrupt["sharded.manifest"] = ManifestBytes(0, {});
-  ExpectParseError(corrupt, "zero shards");
-  corrupt["sharded.manifest"] = ManifestBytes(1u << 20, {});
-  ExpectParseError(corrupt, "absurd shard count");
-}
-
-TEST_F(ShardedManifestCorruptionTest, ManifestLiveCountMismatchRejected) {
-  auto corrupt = sections_;
-  // Per-shard counts that disagree with the section contents.
-  corrupt["sharded.manifest"] = ManifestBytes(2, {live0_ + 1, live1_});
-  ExpectParseError(corrupt, "manifest live count != section live count");
-}
-
-TEST_F(ShardedManifestCorruptionTest, HostileLiveCountNeverReachesReserve) {
-  // An adversarial count consistent between the manifest and the shard
-  // section's own prefix must come back as ParseError — not a
-  // length_error/bad_alloc crash out of vector::reserve.
-  const uint64_t hostile = uint64_t{1} << 60;
-  auto corrupt = sections_;
-  corrupt["sharded.manifest"] = ManifestBytes(2, {hostile, live1_});
-  BinaryWriter shard0;
-  shard0.WriteU64(hostile);  // section agrees with the manifest
-  corrupt["sharded.shard0"] = std::move(shard0).TakeBuffer();
-  ExpectParseError(corrupt, "hostile live count");
-}
-
-TEST_F(ShardedManifestCorruptionTest, DuplicateTableIdAcrossShardsRejected) {
-  // Shard 1's section replaced with a copy of shard 0's: every table id
-  // in shard 0 is now live in two shards.
-  auto corrupt = sections_;
-  corrupt["sharded.shard1"] = corrupt["sharded.shard0"];
-  corrupt["sharded.manifest"] = ManifestBytes(2, {live0_, live0_});
-  ExpectParseError(corrupt, "duplicate table id across shards");
-}
-
-TEST_F(ShardedManifestCorruptionTest, TruncatedShardSectionRejectedCleanly) {
-  auto corrupt = sections_;
-  auto& bytes = corrupt["sharded.shard0"];
-  bytes.resize(bytes.size() / 2);
-  auto snapshot = Reassemble(corrupt);
-  ASSERT_TRUE(snapshot.ok());
-  auto loaded = ShardedTabBinService::FromSnapshot(snapshot.value());
-  // Any clean Status is acceptable (the cut can land mid-primitive);
-  // the hard requirement is no crash and no partial service.
-  EXPECT_FALSE(loaded.ok());
+  for (int bad : {kMaxShards + 1, 100000000, -1}) {
+    SCOPED_TRACE("override " + std::to_string(bad));
+    auto loaded = TabBinService::Load(path, bad);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    auto serving = LoadServing(path, bad);
+    ASSERT_FALSE(serving.ok());
+    EXPECT_EQ(serving.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto at_bound = TabBinService::Load(path, 4);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ(at_bound.value()->num_shards(), 4);
+  for (int low : {0, -7}) {
+    TabBinService clamped(SharedSystem(), {}, low);
+    EXPECT_EQ(clamped.num_shards(), 1);
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +403,7 @@ TEST(ShardedServiceStressTest, WriterCompletesWhileReadersHammerOtherShards) {
   constexpr int kWriterOps = 6;
   constexpr int kReaders = 3;
   const auto& tables = SharedCorpus().corpus.tables;
-  ShardedTabBinService svc(SharedSystem(), kShards);
+  TabBinService svc(SharedSystem(), {}, kShards);
   ASSERT_TRUE(svc.AddTables(tables).ok());
 
   // Writer ids that all hash to one shard; readers address only tables

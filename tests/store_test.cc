@@ -4,9 +4,12 @@
 // The load-bearing claims pinned here:
 //   * a corrupt v2 file — truncated mid-page, flipped payload byte,
 //     hostile offset/alignment chain, manifest naming a missing
-//     generation — always comes back as ParseError, never a crash,
-//     SIGBUS, or out-of-bounds read (CI re-runs this suite under
-//     ASan/UBSan against both formats);
+//     generation, a shard count that disagrees with the section groups,
+//     a table id live in two shards — always comes back as ParseError,
+//     never a crash, SIGBUS, or out-of-bounds read (CI re-runs this
+//     suite under ASan/UBSan, mapped and with TABBIN_STORE_NO_MMAP=1);
+//   * a v1 stream file handed to the service loaders is ParseError (the
+//     v1 service formats are gone);
 //   * a service restored from a mapped v2 store answers every endpoint
 //     byte-identically to the saved one — scores, ranks, captions, AND
 //     `candidates` counts (tombstone bucket pollution is persisted);
@@ -24,7 +27,6 @@
 
 #include "datagen/corpus_gen.h"
 #include "service/sharded_service.h"
-#include "service/table_service.h"
 #include "store/generation.h"
 #include "store/mapped_file.h"
 #include "store/paged_snapshot.h"
@@ -410,7 +412,30 @@ void ExpectIdenticalService(const TabBinServing& ref,
   }
 }
 
-TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV1) {
+// Sets TABBIN_STORE_NO_MMAP=1 for its lifetime and restores the prior
+// value after (CI runs the whole suite with it already set).
+class ScopedNoMmap {
+ public:
+  ScopedNoMmap() {
+    const char* prev = std::getenv("TABBIN_STORE_NO_MMAP");
+    had_prev_ = prev != nullptr;
+    if (had_prev_) prev_ = prev;
+    setenv("TABBIN_STORE_NO_MMAP", "1", 1);
+  }
+  ~ScopedNoMmap() {
+    if (had_prev_) {
+      setenv("TABBIN_STORE_NO_MMAP", prev_.c_str(), 1);
+    } else {
+      unsetenv("TABBIN_STORE_NO_MMAP");
+    }
+  }
+
+ private:
+  bool had_prev_ = false;
+  std::string prev_;
+};
+
+TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV2) {
   const auto& tables = SharedCorpus().corpus.tables;
   TabBinService svc(SharedSystem());
   ASSERT_TRUE(svc.AddTables(tables).ok());
@@ -418,17 +443,17 @@ TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV1) {
   // slot persistence.
   ASSERT_TRUE(svc.RemoveTable(tables[2].id()).ok());
 
-  const std::string v1 = "/tmp/tabbin_store_svc_v1.tbsn";
   const std::string v2 = "/tmp/tabbin_store_svc_v2.tbsn";
-  ASSERT_TRUE(svc.SaveV1(v1).ok());
   ASSERT_TRUE(svc.Save(v2).ok());
-  ASSERT_EQ(PeekSnapshotVersion(v1).value(), 1u);
   ASSERT_EQ(PeekSnapshotVersion(v2).value(), 2u);
 
-  // v1 auto-detects through the same Load entry point.
-  auto heap = TabBinService::Load(v1);
+  // The heap open reads the whole file and serves the same spans the
+  // mapping would (MmapDisabledByEnv is consulted on every open).
+  auto heap = [&v2] {
+    ScopedNoMmap no_mmap;
+    return TabBinService::Load(v2);
+  }();
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  EXPECT_FALSE(heap.value()->IsMapped());
   ExpectIdenticalService(svc, *heap.value());
 
   auto mapped = TabBinService::Load(v2);
@@ -437,21 +462,9 @@ TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV1) {
   ExpectIdenticalService(svc, *mapped.value());
   ExpectIdenticalService(*heap.value(), *mapped.value());
 
-  // The mapped restore answers identically under the no-mmap fallback
-  // too (CI runs the whole suite with TABBIN_STORE_NO_MMAP=1).
+  // The core loader reads the same store's bridged model sections.
   auto system_load = TabBiNSystem::Load(v2);
   ASSERT_TRUE(system_load.ok()) << system_load.status().ToString();
-}
-
-TEST(StoreServingTest, SingleStoreRejectsShardedLoaderMismatch) {
-  const auto& tables = SharedCorpus().corpus.tables;
-  ShardedTabBinService svc(SharedSystem(), 3);
-  ASSERT_TRUE(svc.AddTables(tables).ok());
-  const std::string path = "/tmp/tabbin_store_kind.tbsn";
-  ASSERT_TRUE(svc.Save(path).ok());
-  auto wrong = TabBinService::Load(path);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kParseError);
 }
 
 TEST(StoreServingTest, DeltaMergeCompactAndGenerationRoundTrip) {
@@ -507,7 +520,7 @@ TEST(StoreServingTest, DeltaMergeCompactAndGenerationRoundTrip) {
 
 TEST(StoreServingTest, ShardedStoreRoundTripAndRepartition) {
   const auto& tables = SharedCorpus().corpus.tables;
-  ShardedTabBinService svc(SharedSystem(), 3);
+  TabBinService svc(SharedSystem(), {}, 3);
   ASSERT_TRUE(svc.AddTables(tables).ok());
   ASSERT_TRUE(svc.RemoveTable(tables[5].id()).ok());
 
@@ -515,7 +528,7 @@ TEST(StoreServingTest, ShardedStoreRoundTripAndRepartition) {
   ASSERT_TRUE(svc.Save(path).ok());
 
   // Saved-count restore is the byte-identical mapped path.
-  auto same = ShardedTabBinService::Load(path);
+  auto same = TabBinService::Load(path);
   ASSERT_TRUE(same.ok()) << same.status().ToString();
   EXPECT_EQ(same.value()->num_shards(), 3);
   EXPECT_TRUE(same.value()->IsMapped());
@@ -524,7 +537,7 @@ TEST(StoreServingTest, ShardedStoreRoundTripAndRepartition) {
   // A different target count re-partitions (heap-backed): ranked
   // answers still match, though candidates may not (tombstone
   // pollution is not re-created).
-  auto repart = ShardedTabBinService::Load(path, 2);
+  auto repart = TabBinService::Load(path, 2);
   ASSERT_TRUE(repart.ok()) << repart.status().ToString();
   EXPECT_EQ(repart.value()->num_shards(), 2);
   EXPECT_FALSE(repart.value()->IsMapped());
@@ -544,25 +557,20 @@ TEST(StoreServingTest, LoadServingDispatchesEveryFormat) {
   TabBinService single(SharedSystem());
   ASSERT_TRUE(single.AddTables(tables).ok());
   const std::string single_v2 = "/tmp/tabbin_store_serving_single.tbsn";
-  const std::string single_v1 = "/tmp/tabbin_store_serving_single_v1.tbsn";
   ASSERT_TRUE(single.Save(single_v2).ok());
-  ASSERT_TRUE(single.SaveV1(single_v1).ok());
 
-  ShardedTabBinService sharded(SharedSystem(), 2);
+  TabBinService sharded(SharedSystem(), {}, 2);
   ASSERT_TRUE(sharded.AddTables(tables).ok());
   const std::string sharded_v2 = "/tmp/tabbin_store_serving_sharded.tbsn";
   ASSERT_TRUE(sharded.Save(sharded_v2).ok());
 
-  for (const std::string& path : {single_v2, single_v1}) {
-    SCOPED_TRACE(path);
-    auto serving = LoadServing(path);
-    ASSERT_TRUE(serving.ok()) << serving.status().ToString();
-    ExpectIdenticalService(single, *serving.value());
-  }
+  auto served_single = LoadServing(single_v2);
+  ASSERT_TRUE(served_single.ok()) << served_single.status().ToString();
+  ExpectIdenticalService(single, *served_single.value());
   auto served_sharded = LoadServing(sharded_v2);
   ASSERT_TRUE(served_sharded.ok()) << served_sharded.status().ToString();
   ExpectIdenticalService(sharded, *served_sharded.value());
-  // Override re-partitions a v2 single store through the sharded path.
+  // Override re-partitions a 1-shard store through the same path.
   auto fanned = LoadServing(single_v2, 2);
   ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
   EXPECT_EQ(fanned.value()->NumLiveTables(), single.NumLiveTables());
@@ -596,6 +604,212 @@ TEST(StoreServingTest, CorruptServiceStoreSurfacesAsParseError) {
           << "flip at " << off << ": " << loaded.status().ToString();
     }
   }
+}
+
+// The v1 service formats are gone: a v1 stream — a single-service
+// "service.*" file, a "sharded.manifest" file, or a model snapshot —
+// handed to either service loader is ParseError, not a crash and not a
+// silent fall-through to some other reader.
+TEST(StoreServingTest, V1ServiceStreamIsRejected) {
+  for (const char* corpus_section : {"service.tables", "sharded.manifest",
+                                     static_cast<const char*>(nullptr)}) {
+    SCOPED_TRACE(corpus_section ? corpus_section : "model snapshot");
+    SnapshotWriter w;
+    SharedSystem()->AppendTo(&w);
+    if (corpus_section != nullptr) {
+      w.AddSection(corpus_section)->WriteU64(0);
+    }
+    const std::string path = "/tmp/tabbin_store_v1_service.tbsn";
+    ASSERT_TRUE(w.ToFile(path).ok());
+    ASSERT_EQ(PeekSnapshotVersion(path).value(), 1u);
+    auto loaded = TabBinService::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+    auto serving = LoadServing(path, 3);
+    ASSERT_FALSE(serving.ok());
+    EXPECT_EQ(serving.status().code(), StatusCode::kParseError)
+        << serving.status().ToString();
+  }
+}
+
+// --------------------------------------------------------------------------
+// Cross-shard store validation
+// --------------------------------------------------------------------------
+// Each case copies a valid store's sections, breaks one cross-shard
+// invariant, re-assembles a structurally valid container, and requires
+// ParseError from the service loader (CI runs these under ASan/UBSan).
+
+struct StoreSection {
+  std::string name;
+  uint64_t align = 1;
+  std::vector<uint8_t> bytes;
+};
+using StoreSections = std::vector<StoreSection>;
+
+StoreSections ReadStoreSections(const std::vector<uint8_t>& store,
+                                const std::string& tag) {
+  auto reader = OpenBytes(store, tag);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  StoreSections out;
+  if (!reader.ok()) return out;
+  for (const auto& info : reader.value().sections()) {
+    auto span = reader.value().SectionSpan(info.name);
+    EXPECT_TRUE(span.ok()) << info.name;
+    if (!span.ok()) continue;
+    out.push_back({info.name, info.align,
+                   std::vector<uint8_t>(span.value().data,
+                                        span.value().data + span.value().size)});
+  }
+  return out;
+}
+
+std::vector<uint8_t> AssembleStore(const StoreSections& sections) {
+  PagedSnapshotWriter w;
+  for (const StoreSection& sec : sections) {
+    w.AddSection(sec.name, sec.align)
+        ->WriteBytes(sec.bytes.data(), sec.bytes.size());
+  }
+  return w.Assemble();
+}
+
+std::vector<uint8_t> StoreMetaBytes(uint32_t flag_word, uint32_t shards) {
+  BinaryWriter w;
+  w.WriteU32(1);  // store.meta version
+  w.WriteU32(flag_word);
+  w.WriteU32(shards);
+  return std::move(w).TakeBuffer();
+}
+
+bool InGroup(const StoreSection& sec, uint32_t shard) {
+  return sec.name.rfind(StoreShardPrefix(shard), 0) == 0;
+}
+
+void SetStoreMeta(StoreSections* sections, std::vector<uint8_t> bytes) {
+  for (StoreSection& sec : *sections) {
+    if (sec.name == "store.meta") sec.bytes = std::move(bytes);
+  }
+}
+
+// Appends a copy of group `from`, renamed into group `to`.
+StoreSections CopyGroup(const StoreSections& sections, uint32_t from,
+                        uint32_t to) {
+  StoreSections out = sections;
+  const std::string src = StoreShardPrefix(from);
+  for (const StoreSection& sec : sections) {
+    if (!InGroup(sec, from)) continue;
+    out.push_back({StoreShardPrefix(to) + sec.name.substr(src.size()),
+                   sec.align, sec.bytes});
+  }
+  return out;
+}
+
+StoreSections DropGroup(const StoreSections& sections, uint32_t shard) {
+  StoreSections out;
+  for (const StoreSection& sec : sections) {
+    if (!InGroup(sec, shard)) out.push_back(sec);
+  }
+  return out;
+}
+
+Result<std::unique_ptr<TabBinService>> LoadStoreBytes(
+    const std::vector<uint8_t>& bytes) {
+  const std::string path = "/tmp/tabbin_store_xshard.tbsn";
+  TABBIN_RETURN_IF_ERROR(AtomicWriteFile(path, bytes));
+  return TabBinService::Load(path);
+}
+
+class ShardedStoreCorruptionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TabBinService svc(SharedSystem(), {}, 2);
+    ASSERT_TRUE(svc.AddTables(SharedCorpus().corpus.tables).ok());
+    ASSERT_GT(svc.ShardLiveCount(0), 0u);
+    ASSERT_GT(svc.ShardLiveCount(1), 0u);
+    live_ = svc.NumLiveTables();
+    PagedSnapshotWriter w;
+    svc.AppendStore(&w);
+    sections_ = ReadStoreSections(w.Assemble(), "xshard_src");
+    ASSERT_FALSE(sections_.empty());
+  }
+
+  void ExpectParseError(const StoreSections& sections,
+                        const std::string& what) {
+    auto loaded = LoadStoreBytes(AssembleStore(sections));
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << what << ": " << loaded.status().ToString();
+  }
+
+  size_t live_ = 0;
+  StoreSections sections_;
+};
+
+TEST_F(ShardedStoreCorruptionTest, ReassembledStoreLoads) {
+  auto loaded = LoadStoreBytes(AssembleStore(sections_));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value()->num_shards(), 2);
+  EXPECT_EQ(loaded.value()->NumLiveTables(), live_);
+}
+
+TEST_F(ShardedStoreCorruptionTest, DuplicateTableIdAcrossGroupsRejected) {
+  // Group 1 replaced by a copy of group 0: every id in shard 0 is now
+  // live in two shards.
+  ExpectParseError(CopyGroup(DropGroup(sections_, 1), 0, 1),
+                   "duplicate table id across groups");
+}
+
+TEST_F(ShardedStoreCorruptionTest, ExtraGroupBeyondMetaCountRejected) {
+  ExpectParseError(CopyGroup(sections_, 0, 2), "group s2 with meta count 2");
+  auto undercount = sections_;
+  SetStoreMeta(&undercount, StoreMetaBytes(1, 1));
+  ExpectParseError(undercount, "meta count 1 with two groups");
+}
+
+TEST_F(ShardedStoreCorruptionTest, MissingGroupRejected) {
+  ExpectParseError(DropGroup(sections_, 1), "group s1 missing");
+  ExpectParseError(DropGroup(sections_, 0), "group s0 missing");
+  auto overcount = sections_;
+  SetStoreMeta(&overcount, StoreMetaBytes(1, 3));
+  ExpectParseError(overcount, "meta count 3 with two groups");
+}
+
+TEST_F(ShardedStoreCorruptionTest, MetaShardCountOutOfRangeRejected) {
+  for (uint32_t shards : {0u, static_cast<uint32_t>(kMaxShards) + 1}) {
+    auto corrupt = sections_;
+    SetStoreMeta(&corrupt, StoreMetaBytes(1, shards));
+    ExpectParseError(corrupt, "meta shard count " + std::to_string(shards));
+  }
+}
+
+TEST_F(ShardedStoreCorruptionTest, TruncatedStoreMetaRejected) {
+  const std::vector<uint8_t> meta = StoreMetaBytes(1, 2);
+  for (size_t cut : {size_t{0}, size_t{3}, size_t{4}, size_t{8},
+                     meta.size() - 1}) {
+    auto corrupt = sections_;
+    SetStoreMeta(&corrupt, std::vector<uint8_t>(
+                               meta.begin(),
+                               meta.begin() + static_cast<long>(cut)));
+    ExpectParseError(corrupt, "store.meta cut to " + std::to_string(cut));
+  }
+}
+
+// The removed single-shard service wrote 0 in the meta word that
+// follows the version; the word is ignored on read, so such a store
+// still opens, byte-identically.
+TEST(StoreServingTest, MetaFlagWordZeroStillLoads) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  TabBinService svc(SharedSystem());
+  ASSERT_TRUE(svc.AddTables(tables).ok());
+  ASSERT_TRUE(svc.RemoveTable(tables[4].id()).ok());
+  PagedSnapshotWriter w;
+  svc.AppendStore(&w);
+  StoreSections sections = ReadStoreSections(w.Assemble(), "flag0_src");
+  SetStoreMeta(&sections, StoreMetaBytes(0, 1));
+  auto loaded = LoadStoreBytes(AssembleStore(sections));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value()->num_shards(), 1);
+  ExpectIdenticalService(svc, *loaded.value());
 }
 
 }  // namespace
