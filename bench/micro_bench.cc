@@ -472,6 +472,40 @@ void BM_LshQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_LshQuery);
 
+// The serving regime: embedding rows share a dominant direction, so a
+// probe collides with most of the index (pool_frac is the mean pool size
+// over the index size; serving corpora sit near 0.65). BM_LshQuery's
+// isotropic rows keep pools at a few percent.
+void BM_LshQueryClustered(benchmark::State& state) {
+  const int dim = 72, rows = 20000, clusters = 8;
+  Rng rng(9);
+  LshIndex index(dim, 8, 12);
+  std::vector<float> shared(dim);
+  for (auto& x : shared) x = static_cast<float>(rng.Gaussian());
+  std::vector<std::vector<float>> centers(clusters, shared);
+  for (auto& c : centers) {
+    for (auto& x : c) x += 0.7f * static_cast<float>(rng.Gaussian());
+  }
+  std::vector<std::vector<float>> probes;
+  for (int i = 0; i < rows; ++i) {
+    std::vector<float> v = centers[static_cast<size_t>(i % clusters)];
+    for (auto& x : v) x += 0.1f * static_cast<float>(rng.Gaussian());
+    if (!index.Insert(i, v).ok()) std::abort();
+    if (i < 64) probes.push_back(std::move(v));
+  }
+  size_t next = 0, pooled = 0, queries = 0;
+  for (auto _ : state) {
+    const std::vector<int> pool = index.Query(probes[next]);
+    next = (next + 1) % probes.size();
+    pooled += pool.size();
+    ++queries;
+    benchmark::DoNotOptimize(pool.data());
+  }
+  state.counters["pool_frac"] =
+      static_cast<double>(pooled) / static_cast<double>(queries) / rows;
+}
+BENCHMARK(BM_LshQueryClustered);
+
 void BM_CosineRanking(benchmark::State& state) {
   Rng rng(6);
   LabeledEmbeddingSet items;

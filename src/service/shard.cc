@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <future>
 #include <map>
-#include <unordered_set>
 #include <utility>
 
 #include "baselines/word2vec.h"
@@ -14,6 +13,7 @@
 #include "util/logging.h"
 #include "util/snapshot.h"
 #include "util/threadpool.h"
+#include "util/top_k.h"
 
 namespace tabbin {
 
@@ -604,6 +604,19 @@ ServiceShard::MatchSet ServiceShard::RankLocked(
     if (!accept(refs[static_cast<size_t>(id)])) continue;
     rows.push_back(id);
   }
+  // Descending score, then the partition-independent tie order (table
+  // id / col / row) — never internal row ids, so the ranking does not
+  // depend on insertion order or shard assignment. Distinct candidates
+  // always differ in their tie key, so this is a strict total order and
+  // the bounded SelectTopK cut equals full-sort-then-truncate byte for
+  // byte at a size-k heap's cost.
+  const auto by_score = [&](const float* score) {
+    return [&refs, &tie_less, score, &rows](size_t a, size_t b) {
+      if (score[a] != score[b]) return score[a] > score[b];
+      return tie_less(refs[static_cast<size_t>(rows[a])],
+                      refs[static_cast<size_t>(rows[b])]);
+    };
+  };
   // Quantized first pass: when the scan knob is on and the candidate
   // set is larger than the shortlist, score everything through the
   // int8 sidecar (1/4 the bandwidth, exact integer dots) and keep only
@@ -621,23 +634,13 @@ ServiceShard::MatchSet ServiceShard::RankLocked(
       std::vector<float> approx(rows.size());
       QuantizedCosineRows(vecs, qq, rows.data(), rows.size(),
                           approx.data());
-      std::vector<std::pair<float, int>> ranked;
-      ranked.reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        ranked.emplace_back(approx[i], rows[i]);
+      std::vector<int> kept;
+      kept.reserve(shortlist);
+      for (size_t i :
+           SelectTopK(rows.size(), shortlist, by_score(approx.data()))) {
+        kept.push_back(rows[i]);
       }
-      const auto approx_order = [&](const std::pair<float, int>& a,
-                                    const std::pair<float, int>& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return tie_less(refs[static_cast<size_t>(a.second)],
-                        refs[static_cast<size_t>(b.second)]);
-      };
-      std::nth_element(ranked.begin(),
-                       ranked.begin() + static_cast<ptrdiff_t>(shortlist),
-                       ranked.end(), approx_order);
-      ranked.resize(shortlist);
-      rows.clear();
-      for (const auto& [score, id] : ranked) rows.push_back(id);
+      rows = std::move(kept);
     }
   }
   std::vector<float> scores(rows.size());
@@ -647,34 +650,12 @@ ServiceShard::MatchSet ServiceShard::RankLocked(
   vecs.CosineRows(query_vec.data(),
                   kernels::InvNorm(query_vec.data(), query_vec.size()),
                   rows.data(), rows.size(), scores.data());
-  std::vector<std::pair<float, int>> scored;
-  scored.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    scored.emplace_back(scores[i], rows[i]);
-  }
-  // Descending score, then the partition-independent tie order (table
-  // id / col / row) — never internal row ids, so the ranking does not
-  // depend on insertion order or shard assignment. The comparator is a
-  // strict total order (distinct candidates always differ in their tie
-  // key), so top-k selection commutes with the full sort: nth_element
-  // puts exactly the k winners in the prefix, and sorting that prefix
-  // reproduces the full-sort-then-truncate output byte for byte —
-  // candidates can be 100x k, so selection beats sorting the lot.
-  const auto order = [&](const std::pair<float, int>& a,
-                         const std::pair<float, int>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return tie_less(refs[static_cast<size_t>(a.second)],
-                    refs[static_cast<size_t>(b.second)]);
-  };
-  if (static_cast<size_t>(k) < scored.size()) {
-    std::nth_element(scored.begin(), scored.begin() + k, scored.end(),
-                     order);
-    scored.resize(static_cast<size_t>(k));
-  }
-  std::sort(scored.begin(), scored.end(), order);
-  out.matches.reserve(scored.size());
-  for (const auto& [score, id] : scored) {
-    out.matches.push_back(emit(refs[static_cast<size_t>(id)], score));
+  const std::vector<size_t> top =
+      SelectTopK(rows.size(), static_cast<size_t>(k), by_score(scores.data()));
+  out.matches.reserve(top.size());
+  for (size_t i : top) {
+    out.matches.push_back(
+        emit(refs[static_cast<size_t>(rows[i])], scores[i]));
   }
   return out;
 }
@@ -850,48 +831,48 @@ ServiceShard::AskPartial ServiceShard::AskCandidates(
   // full scan's surviving set, at postings cost instead of
   // O(live corpus) per query), each scored by doc-local saturated tf.
   std::vector<std::pair<double, int>> lex;  // (score, slot)
-  std::unordered_set<int> seen;
+  std::vector<bool> seen(slots_.size());
   for (const auto& term : query_terms) {
     auto postings = lex_postings_.find(term);
     if (postings == lex_postings_.end()) continue;
     for (int s : postings->second) {
       if (!slots_[static_cast<size_t>(s)].live) continue;
-      if (!seen.insert(s).second) continue;
+      if (seen[static_cast<size_t>(s)]) continue;
+      seen[static_cast<size_t>(s)] = true;
       const double score =
           LexicalScore(query_terms, slots_[static_cast<size_t>(s)].doc_tf);
       if (score > 0) lex.emplace_back(score, s);
     }
   }
   // (lex desc, id asc) is a strict total order over distinct slots, so
-  // nth_element + prefix sort equals full sort + truncate exactly; the
+  // the bounded SelectTopK cut equals full sort + truncate exactly; the
   // postings can surface far more candidates than the pool keeps.
-  const auto lex_order = [&](const std::pair<double, int>& a,
-                             const std::pair<double, int>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return slots[static_cast<size_t>(a.second)].id <
-           slots[static_cast<size_t>(b.second)].id;
-  };
-  if (static_cast<size_t>(pool) < lex.size()) {
-    std::nth_element(lex.begin(), lex.begin() + pool, lex.end(), lex_order);
-    lex.resize(static_cast<size_t>(pool));
-  }
-  std::sort(lex.begin(), lex.end(), lex_order);
+  const std::vector<size_t> lex_top =
+      SelectTopK(lex.size(), static_cast<size_t>(pool),
+                 [&](size_t a, size_t b) {
+                   if (lex[a].first != lex[b].first) {
+                     return lex[a].first > lex[b].first;
+                   }
+                   return slots[static_cast<size_t>(lex[a].second)].id <
+                          slots[static_cast<size_t>(lex[b].second)].id;
+                 });
 
   // One batched norm-free cosine pass over the surviving lexical rows
   // (cached inverse norms; bit-identical to pairwise CosineSimilarity).
   std::vector<int> lex_rows;
-  lex_rows.reserve(lex.size());
-  for (const auto& [score, slot] : lex) {
-    lex_rows.push_back(slots_[static_cast<size_t>(slot)].tbl_row);
+  lex_rows.reserve(lex_top.size());
+  for (size_t i : lex_top) {
+    lex_rows.push_back(slots_[static_cast<size_t>(lex[i].second)].tbl_row);
   }
   std::vector<float> lex_cos(lex_rows.size());
   tbl_vecs_.CosineRows(query_vec.data(), inv_q, lex_rows.data(),
                        lex_rows.size(), lex_cos.data());
-  out.lexical.reserve(lex.size());
-  for (size_t i = 0; i < lex.size(); ++i) {
-    const TableSlot& s = slots_[static_cast<size_t>(lex[i].second)];
+  out.lexical.reserve(lex_top.size());
+  for (size_t i = 0; i < lex_top.size(); ++i) {
+    const auto& [lex_score, slot] = lex[lex_top[i]];
+    const TableSlot& s = slots_[static_cast<size_t>(slot)];
     LexicalHit hit;
-    hit.lex = lex[i].first;
+    hit.lex = lex_score;
     hit.match.table_id = s.id;
     hit.match.caption = s.caption;
     hit.match.score = lex_cos[i];
@@ -918,8 +899,8 @@ ServiceShard::AskPartial ServiceShard::AskCandidates(
   // Quantized first pass over the dense candidates, mirroring
   // RankLocked: the final Ask cut keeps `pool` tables at most, so a
   // (pool * r) approximate shortlist bounds the exact rerank the same
-  // way. Ties break on table id — the partition-independent order the
-  // dense stage itself merges by.
+  // way, through the same SelectTopK cut. Ties break on table id — the
+  // partition-independent order the dense stage itself merges by.
   if (options_.quantized_scan && tbl_vecs_.quantized()) {
     const size_t shortlist =
         static_cast<size_t>(pool) *
@@ -929,27 +910,23 @@ ServiceShard::AskPartial ServiceShard::AskCandidates(
       std::vector<float> approx(dense_rows.size());
       QuantizedCosineRows(tbl_vecs_, qq, dense_rows.data(),
                           dense_rows.size(), approx.data());
-      std::vector<std::pair<float, int>> ranked;
-      ranked.reserve(dense_rows.size());
-      for (size_t i = 0; i < dense_rows.size(); ++i) {
-        ranked.emplace_back(approx[i], dense_rows[i]);
-      }
-      const auto approx_order = [&](const std::pair<float, int>& a,
-                                    const std::pair<float, int>& b) {
-        if (a.first != b.first) return a.first > b.first;
+      const auto table_id = [&](size_t i) -> const std::string& {
         return slots[static_cast<size_t>(
-                   tbl_refs[static_cast<size_t>(a.second)])]
-                   .id <
-               slots[static_cast<size_t>(
-                   tbl_refs[static_cast<size_t>(b.second)])]
-                   .id;
+                         tbl_refs[static_cast<size_t>(dense_rows[i])])]
+            .id;
       };
-      std::nth_element(ranked.begin(),
-                       ranked.begin() + static_cast<ptrdiff_t>(shortlist),
-                       ranked.end(), approx_order);
-      ranked.resize(shortlist);
-      dense_rows.clear();
-      for (const auto& [score, row] : ranked) dense_rows.push_back(row);
+      std::vector<int> kept;
+      kept.reserve(shortlist);
+      for (size_t i : SelectTopK(dense_rows.size(), shortlist,
+                                 [&](size_t a, size_t b) {
+                                   if (approx[a] != approx[b]) {
+                                     return approx[a] > approx[b];
+                                   }
+                                   return table_id(a) < table_id(b);
+                                 })) {
+        kept.push_back(dense_rows[i]);
+      }
+      dense_rows = std::move(kept);
     }
   }
   std::vector<float> dense_cos(dense_rows.size());

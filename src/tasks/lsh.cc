@@ -90,6 +90,13 @@ Status LshIndex::Insert(int id, VecView vec) {
         " does not match index dim " + std::to_string(dim_) + " (id " +
         std::to_string(id) + ")");
   }
+  // Ids are dense row numbers: QueryByKeys dedups through a bitmap over
+  // [0, size()), so an id outside that range would index past it.
+  if (id != count_) {
+    return Status::InvalidArgument(
+        "LshIndex::Insert: id " + std::to_string(id) +
+        " is not the next dense id " + std::to_string(count_));
+  }
   const std::vector<uint64_t> keys = HashAllTables(vec);
   for (int t = 0; t < num_tables_; ++t) {
     tables_[static_cast<size_t>(t)][keys[static_cast<size_t>(t)]]
@@ -149,18 +156,35 @@ Result<LshIndex> LshIndex::Deserialize(BinaryReader* r) {
     }
     auto& table = index.tables_[static_cast<size_t>(t)];
     table.reserve(static_cast<size_t>(buckets));
+    // Every id lands in exactly one bucket per table, so a table's
+    // bucket sizes sum to count; each id must lie in [0, count) or the
+    // query bitmap would index past its end.
+    uint64_t ids_in_table = 0;
     for (uint64_t b = 0; b < buckets; ++b) {
       TABBIN_ASSIGN_OR_RETURN(uint64_t key, r->ReadU64());
       TABBIN_ASSIGN_OR_RETURN(uint64_t n_ids, r->ReadU64());
       if (n_ids > r->remaining() / sizeof(int32_t)) {
         return Status::ParseError("LshIndex: bucket past end of stream");
       }
+      ids_in_table += n_ids;
       std::vector<int>& ids = table[key];
       ids.resize(static_cast<size_t>(n_ids));
       static_assert(sizeof(int) == sizeof(int32_t),
                     "bulk id read assumes 32-bit int");
       TABBIN_RETURN_IF_ERROR(
           r->ReadI32Into(ids.data(), n_ids));
+      for (int id : ids) {
+        if (id < 0 || id >= count) {
+          return Status::ParseError("LshIndex: bucket id " +
+                                    std::to_string(id) + " outside [0, " +
+                                    std::to_string(count) + ")");
+        }
+      }
+    }
+    if (ids_in_table != static_cast<uint64_t>(count)) {
+      return Status::ParseError("LshIndex: table " + std::to_string(t) +
+                                " holds " + std::to_string(ids_in_table) +
+                                " ids, expected " + std::to_string(count));
     }
   }
   return index;
@@ -191,30 +215,28 @@ std::vector<int> LshIndex::QueryByKeys(
     const std::vector<uint64_t>& keys) const {
   std::vector<int> out;
   if (keys.size() != static_cast<size_t>(num_tables_)) return out;
-  // Two passes: collect the per-table bucket hits first, then bulk-copy
-  // into one exactly-sized buffer and merge with a single sort+unique.
-  // At high collision rates the buckets hold many duplicate ids; growing
-  // `out` incrementally per table reallocated repeatedly for the same
-  // final contents.
-  std::vector<const std::vector<int>*> hits;
-  hits.reserve(static_cast<size_t>(num_tables_));
+  // Mark every bucket hit in a bitmap over the dense id space, then read
+  // the set bits back low to high: the result is sorted and
+  // deduplicated in O(total hits + size() / 64). Ascending order keeps
+  // candidate order — and everything ranked after it — independent of
+  // hash-map iteration order across standard libraries.
+  std::vector<uint64_t> bits((static_cast<size_t>(count_) + 63) / 64);
   size_t total = 0;
   for (int t = 0; t < num_tables_; ++t) {
     const auto& table = tables_[static_cast<size_t>(t)];
     auto it = table.find(keys[static_cast<size_t>(t)]);
-    if (it == table.end() || it->second.empty()) continue;
-    hits.push_back(&it->second);
+    if (it == table.end()) continue;
+    for (int id : it->second) {
+      bits[static_cast<size_t>(id) >> 6] |= uint64_t{1} << (id & 63);
+    }
     total += it->second.size();
   }
-  out.reserve(total);
-  for (const std::vector<int>* bucket : hits) {
-    out.insert(out.end(), bucket->begin(), bucket->end());
+  out.reserve(std::min(total, static_cast<size_t>(count_)));
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      out.push_back(static_cast<int>(w * 64) + __builtin_ctzll(word));
+    }
   }
-  // Sorted + deduplicated: candidate order must not depend on
-  // unordered_set iteration order (platform-specific), or downstream
-  // clustering results drift across standard libraries.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   stat_queries_.fetch_add(1, std::memory_order_relaxed);
   stat_candidates_.fetch_add(out.size(), std::memory_order_relaxed);
   return out;

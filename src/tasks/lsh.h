@@ -34,10 +34,13 @@ class LshIndex {
   LshIndex(const LshIndex&) = delete;
   LshIndex& operator=(const LshIndex&) = delete;
 
-  /// \brief Adds a vector under an integer id. Rejects vectors whose
-  /// size differs from the index dimensionality with InvalidArgument —
-  /// a mis-sized vector would hash against truncated hyperplanes and
-  /// silently poison every bucket it lands in.
+  /// \brief Adds a vector under the next dense id, which must equal
+  /// size(): ids are row numbers 0, 1, 2, ... in insertion order, the
+  /// id space the query bitmap spans. Any other id is InvalidArgument.
+  /// Also rejects vectors whose size differs from the index
+  /// dimensionality with InvalidArgument — a mis-sized vector would hash
+  /// against truncated hyperplanes and silently poison every bucket it
+  /// lands in.
   Status Insert(int id, VecView vec);
 
   /// \brief Ids colliding with `vec` in at least one table (candidates
@@ -56,7 +59,8 @@ class LshIndex {
 
   /// \brief Query by precomputed keys: identical to Query(vec) when
   /// `keys` came from QueryKeys(vec) on a same-geometry index. A key
-  /// count that does not match num_tables matches nothing.
+  /// count that does not match num_tables matches nothing. Linear in the
+  /// bucket hits plus size() / 64 (a bitmap over the dense ids).
   std::vector<int> QueryByKeys(const std::vector<uint64_t>& keys) const;
 
   int dim() const { return dim_; }
@@ -80,7 +84,9 @@ class LshIndex {
   void Serialize(BinaryWriter* w) const;
 
   /// \brief Inverse of Serialize; validates geometry and bucket contents
-  /// so corrupt streams return a Status error. The restored index answers
+  /// so corrupt streams return a Status error: every id must lie in
+  /// [0, count) and each table's bucket sizes must sum to count, else
+  /// ParseError. The restored index answers
   /// Query identically to the one serialized — when writer and reader
   /// hash identically: same kernel dispatch level AND both post-PR-5
   /// (which moved hashing from double-accumulated scalar dots to float

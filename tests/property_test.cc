@@ -2,7 +2,9 @@
 // inputs, swept with TEST_P across seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +19,7 @@
 #include "tasks/metrics.h"
 #include "tensor/ops.h"
 #include "text/wordpiece.h"
+#include "util/top_k.h"
 
 namespace tabbin {
 namespace {
@@ -297,6 +300,49 @@ TEST_P(MetricProperty, BoundsAndOrderInvariance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty,
                          ::testing::Values(3, 7, 31, 127));
+
+// ---------------------------------------------------------------------------
+// Bounded top-k selection
+// ---------------------------------------------------------------------------
+
+// SelectTopK must equal std::sort + truncate under the caller's strict
+// total order. Scores take only a few values, so most comparisons fall
+// through to the tie key and the tie-break decides the cut.
+class TopKProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TopKProperty, EqualsFullSortThenTruncate) {
+  Rng rng(GetParam());
+  for (int iter = 0; iter < 40; ++iter) {
+    const size_t n = rng.Uniform(120);
+    std::vector<float> score(n);
+    std::vector<std::string> tie(n);
+    for (size_t i = 0; i < n; ++i) {
+      score[i] = 0.25f * static_cast<float>(rng.Uniform(4));
+      tie[i] = "t" + std::to_string(rng.Uniform(1000)) + "." +
+               std::to_string(i);  // distinct, not in index order
+    }
+    const auto better = [&](size_t a, size_t b) {
+      if (score[a] != score[b]) return score[a] > score[b];
+      return tie[a] < tie[b];
+    };
+    std::vector<size_t> sorted(n);
+    for (size_t i = 0; i < n; ++i) sorted[i] = i;
+    std::sort(sorted.begin(), sorted.end(), better);
+    for (size_t k : {size_t{1}, size_t{10}, n - std::min<size_t>(n, 1), n,
+                     n + 5}) {
+      std::vector<size_t> expected(
+          sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(
+                                               std::min(k, n)));
+      EXPECT_EQ(SelectTopK(n, k, better), expected)
+          << "n " << n << " k " << k;
+    }
+  }
+  EXPECT_TRUE(SelectTopK(0, 10, [](size_t, size_t) { return false; })
+                  .empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopKProperty,
+                         ::testing::Values(2, 19, 101, 4096));
 
 // ---------------------------------------------------------------------------
 // Generator-level properties

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "core/encoder_engine.h"
 #include "core/tabbin.h"
@@ -265,6 +266,66 @@ TEST(SnapshotTest, LshIndexBadGeometryRejected) {
   w.WriteI32(0);
   BinaryReader r(w.buffer());
   EXPECT_FALSE(LshIndex::Deserialize(&r).ok());
+}
+
+// A one-table, one-bucket LSH stream over `count` ids whose bucket
+// holds `ids` — small enough to forge each corruption by hand.
+std::vector<uint8_t> LshStreamWithBucket(int32_t count,
+                                         const std::vector<int32_t>& ids) {
+  BinaryWriter w;
+  w.WriteI32(2);  // dim
+  w.WriteI32(1);  // num_bits
+  w.WriteI32(1);  // num_tables
+  w.WriteI32(count);
+  EmbeddingMatrix(1, 2).Serialize(&w);  // hyperplanes: bits*tables x dim
+  w.WriteU64(1);  // buckets in table 0
+  w.WriteU64(0);  // key
+  w.WriteU64(ids.size());
+  for (int32_t id : ids) w.WriteI32(id);
+  return std::move(w).TakeBuffer();
+}
+
+Status DeserializeLsh(const std::vector<uint8_t>& bytes) {
+  BinaryReader r(bytes);
+  return LshIndex::Deserialize(&r).status();
+}
+
+TEST(SnapshotTest, LshIndexHandForgedStreamParses) {
+  BinaryReader r(LshStreamWithBucket(3, {0, 1, 2}));
+  auto index = LshIndex::Deserialize(&r);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index.value().QueryByKeys({0}), (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(index.value().QueryByKeys({1}).empty());
+}
+
+// Bucket ids index the query bitmap, so the parser bounds them: an id
+// past count (INT_MAX would mean a 256 MB bitmap per query), a negative
+// id, and bucket sizes that do not sum to count are all ParseError.
+TEST(SnapshotTest, LshIndexOutOfRangeIdRejected) {
+  for (int32_t id : {3, std::numeric_limits<int32_t>::max()}) {
+    Status st = DeserializeLsh(LshStreamWithBucket(3, {0, 1, id}));
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << id;
+    EXPECT_NE(st.message().find("outside [0, 3)"), std::string::npos)
+        << st.ToString();
+  }
+}
+
+TEST(SnapshotTest, LshIndexNegativeIdRejected) {
+  for (int32_t id : {-1, std::numeric_limits<int32_t>::min()}) {
+    Status st = DeserializeLsh(LshStreamWithBucket(3, {id, 1, 2}));
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << id;
+  }
+}
+
+TEST(SnapshotTest, LshIndexShortBucketSumRejected) {
+  Status short_sum = DeserializeLsh(LshStreamWithBucket(3, {0, 1}));
+  EXPECT_EQ(short_sum.code(), StatusCode::kParseError);
+  EXPECT_NE(short_sum.message().find("holds 2 ids, expected 3"),
+            std::string::npos)
+      << short_sum.ToString();
+  // In range but over-full (a duplicated id) is rejected the same way.
+  EXPECT_EQ(DeserializeLsh(LshStreamWithBucket(3, {0, 1, 2, 2})).code(),
+            StatusCode::kParseError);
 }
 
 TEST(SnapshotTest, TypeInferencerRoundTrip) {

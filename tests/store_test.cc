@@ -794,6 +794,41 @@ TEST_F(ShardedStoreCorruptionTest, TruncatedStoreMetaRejected) {
   }
 }
 
+// LSH bucket ids index each query's bitmap, so one id past the index's
+// row count in a shard's lsh section must fail the load as ParseError
+// instead of reaching a query.
+TEST_F(ShardedStoreCorruptionTest, LshBucketIdOutOfRangeRejected) {
+  auto corrupt = sections_;
+  bool patched = false;
+  for (StoreSection& sec : corrupt) {
+    if (sec.name != StoreShardPrefix(0) + "lsh") continue;
+    // The first index in the section is the table index: geometry
+    // (dim, bits, tables, count), the hyperplane block, then table 0's
+    // bucket count, and its first bucket's key, size and ids.
+    BinaryReader r(sec.bytes);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(r.ReadI32().ok());
+    const int32_t count = r.ReadI32().value();
+    ASSERT_TRUE(EmbeddingMatrix::Deserialize(&r).ok());
+    const size_t table0 = sec.bytes.size() - r.remaining();
+    ASSERT_GT(r.ReadU64().value(), 0u);  // buckets
+    ASSERT_TRUE(r.ReadU64().ok());       // key
+    ASSERT_GT(r.ReadU64().value(), 0u);  // ids in the bucket
+    std::memcpy(sec.bytes.data() + table0 + 24, &count, sizeof(count));
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  const std::string path = "/tmp/tabbin_store_lsh_id.tbsn";
+  ASSERT_TRUE(AtomicWriteFile(path, AssembleStore(corrupt)).ok());
+  auto serving = LoadServing(path);
+  ASSERT_FALSE(serving.ok());
+  EXPECT_EQ(serving.status().code(), StatusCode::kParseError)
+      << serving.status().ToString();
+  EXPECT_NE(serving.status().message().find("LshIndex: bucket id"),
+            std::string::npos)
+      << serving.status().ToString();
+  ExpectParseError(corrupt, "lsh bucket id == count");
+}
+
 // The removed single-shard service wrote 0 in the meta word that
 // follows the version; the word is ignored on read, so such a store
 // still opens, byte-identically.

@@ -1,7 +1,9 @@
 // Tests for metrics, LSH blocking, and the clustering harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "tasks/clustering.h"
 #include "tasks/lsh.h"
@@ -192,9 +194,8 @@ TEST(LshTest, QueryReturnsSortedUniqueCandidates) {
 }
 
 TEST(LshTest, QueryByKeysMatchesPerTableLookupMerge) {
-  // Regression for the bulk bucket merge: QueryByKeys now gathers every
-  // per-table bucket first and merges with one reserve + sort + unique
-  // pass. The result must be identical to the reference per-table
+  // QueryByKeys merges the per-table buckets through one bitmap over
+  // the ids. The result must be identical to the reference per-table
   // lookup loop at any collision rate — few bits forces heavy bucket
   // collisions, so the duplicate-merging path is actually exercised.
   Rng rng(6);
@@ -229,6 +230,143 @@ TEST(LshTest, QueryByKeysMatchesPerTableLookupMerge) {
     EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
     EXPECT_NE(std::find(got.begin(), got.end(), probe), got.end());
   }
+}
+
+// The buckets exactly as Serialize writes them, parsed back here
+// independently of LshIndex::Deserialize.
+std::vector<std::map<uint64_t, std::vector<int>>> SerializedBuckets(
+    const LshIndex& index) {
+  BinaryWriter w;
+  index.Serialize(&w);
+  BinaryReader r(w.buffer());
+  for (int i = 0; i < 2; ++i) EXPECT_TRUE(r.ReadI32().ok());  // dim, bits
+  const int32_t num_tables = r.ReadI32().value();
+  EXPECT_TRUE(r.ReadI32().ok());  // count
+  EXPECT_TRUE(EmbeddingMatrix::Deserialize(&r).ok());
+  std::vector<std::map<uint64_t, std::vector<int>>> tables(
+      static_cast<size_t>(num_tables));
+  for (auto& table : tables) {
+    const uint64_t buckets = r.ReadU64().value();
+    for (uint64_t b = 0; b < buckets; ++b) {
+      const uint64_t key = r.ReadU64().value();
+      const uint64_t n = r.ReadU64().value();
+      for (uint64_t i = 0; i < n; ++i) {
+        table[key].push_back(r.ReadI32().value());
+      }
+    }
+  }
+  return tables;
+}
+
+// Reference probe: concatenate the buckets the keys select, then sort
+// and deduplicate.
+std::vector<int> ReferenceQuery(
+    const std::vector<std::map<uint64_t, std::vector<int>>>& tables,
+    const std::vector<uint64_t>& keys) {
+  std::vector<int> out;
+  if (keys.size() != tables.size()) return out;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    auto it = tables[t].find(keys[t]);
+    if (it != tables[t].end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Probes every corpus vector (and perturbed copies) through QueryByKeys
+// and the reference; returns the mean pool size as a fraction of the
+// index so callers can assert which regime they covered.
+double ExpectQueryByKeysMatchesReference(
+    const LshIndex& index, const std::vector<std::vector<float>>& vecs,
+    Rng* rng) {
+  const auto tables = SerializedBuckets(index);
+  double pool = 0;
+  for (size_t i = 0; i < vecs.size(); ++i) {
+    std::vector<float> probe = vecs[i];
+    if (i % 2 == 1) {
+      for (auto& x : probe) x += 0.1f * static_cast<float>(rng->Gaussian());
+    }
+    const auto keys = index.QueryKeys(probe);
+    const auto got = index.QueryByKeys(keys);
+    EXPECT_EQ(got, ReferenceQuery(tables, keys)) << "probe " << i;
+    pool += static_cast<double>(got.size());
+  }
+  return pool / static_cast<double>(vecs.size()) /
+         static_cast<double>(index.size());
+}
+
+TEST(LshTest, QueryByKeysEqualsSortUniqueOverIsotropicBuckets) {
+  // Isotropic Gaussian rows: small pools, a sparse bitmap.
+  Rng rng(21);
+  const int dim = 24;
+  LshIndex index(dim, /*num_bits=*/8, /*num_tables=*/12);
+  std::vector<std::vector<float>> vecs;
+  for (int i = 0; i < 700; ++i) {  // not a multiple of 64
+    vecs.push_back(RandomUnit(&rng, dim));
+    ASSERT_TRUE(index.Insert(i, vecs.back()).ok());
+  }
+  const double frac = ExpectQueryByKeysMatchesReference(index, vecs, &rng);
+  EXPECT_LT(frac, 0.2);
+}
+
+TEST(LshTest, QueryByKeysEqualsSortUniqueOverClusteredBuckets) {
+  // Three tight clusters: most of the index collides with every probe,
+  // the pool regime the serving corpora sit in.
+  Rng rng(22);
+  const int dim = 24;
+  LshIndex index(dim, /*num_bits=*/4, /*num_tables=*/12);
+  std::vector<std::vector<float>> centers;
+  for (int c = 0; c < 3; ++c) centers.push_back(RandomUnit(&rng, dim));
+  std::vector<std::vector<float>> vecs;
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<float> v = centers[static_cast<size_t>(i % 3)];
+    for (auto& x : v) x += 0.05f * static_cast<float>(rng.Gaussian());
+    vecs.push_back(v);
+    ASSERT_TRUE(index.Insert(i, v).ok());
+  }
+  const double frac = ExpectQueryByKeysMatchesReference(index, vecs, &rng);
+  EXPECT_GT(frac, 0.5);
+}
+
+TEST(LshTest, QueryByKeysOnEmptyIndexAndMissingKeys) {
+  LshIndex empty(/*dim=*/8, /*num_bits=*/6, /*num_tables=*/4);
+  EXPECT_TRUE(empty.QueryByKeys(empty.QueryKeys(std::vector<float>(8, 1.0f)))
+                  .empty());
+
+  Rng rng(23);
+  LshIndex index(/*dim=*/8, /*num_bits=*/6, /*num_tables=*/4);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(index.Insert(i, RandomUnit(&rng, 8)).ok());
+  }
+  // A 6-bit hash is below 64, so key 64 is in no bucket of any table.
+  const std::vector<uint64_t> missing(4, 64);
+  EXPECT_TRUE(index.QueryByKeys(missing).empty());
+  EXPECT_EQ(index.QueryByKeys(missing),
+            ReferenceQuery(SerializedBuckets(index), missing));
+  // One table hit: exactly that bucket, sorted.
+  const auto tables = SerializedBuckets(index);
+  std::vector<uint64_t> one = missing;
+  one[2] = tables[2].begin()->first;
+  EXPECT_EQ(index.QueryByKeys(one), ReferenceQuery(tables, one));
+  EXPECT_EQ(index.QueryByKeys(one), tables[2].begin()->second);
+  // A key count that does not match the table count matches nothing.
+  EXPECT_TRUE(index.QueryByKeys({0, 0, 0}).empty());
+}
+
+TEST(LshTest, InsertRequiresDenseIds) {
+  LshIndex index(/*dim=*/4, 4, 2);
+  const std::vector<float> v(4, 1.0f);
+  EXPECT_EQ(index.Insert(1, v).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Insert(-1, v).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(index.Insert(0, v).ok());
+  EXPECT_EQ(index.Insert(0, v).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Insert(5, v).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(index.Insert(1, v).ok());
+  EXPECT_EQ(index.size(), 2);
+  EXPECT_EQ(index.Query(v), (std::vector<int>{0, 1}));
 }
 
 // ---------------------------------------------------------------------------
