@@ -7,6 +7,7 @@
 #include "tensor/kernels.h"
 #include "text/wordpiece.h"
 #include "util/logging.h"
+#include "util/top_k.h"
 
 namespace tabbin {
 
@@ -199,8 +200,8 @@ std::vector<int> RagLlmSimulator::DenseRetrieve(int query_index, int k) const {
   const VecView q = dense_.row(static_cast<size_t>(query_index));
   // One norm-free batched kernel pass over the grounding matrix (cached
   // per-row inverse norms; the query is a row of the same matrix, so its
-  // norm is cached too), then nth_element top-k selection — (score desc,
-  // doc asc) is a total order, so the selected prefix equals the old
+  // norm is cached too), then a SelectTopK cut — (score desc, doc asc)
+  // is a total order, so the selected prefix equals the old
   // full-sort-then-truncate output exactly.
   std::vector<int> rows;
   rows.reserve(dense_.rows());
@@ -217,15 +218,14 @@ std::vector<int> RagLlmSimulator::DenseRetrieve(int query_index, int k) const {
     const QuantizedQuery qq = MakeQuantizedQuery(q);
     std::vector<float> approx(rows.size());
     QuantizedCosineRows(dense_, qq, rows.data(), rows.size(), approx.data());
-    std::vector<size_t> order(rows.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::nth_element(order.begin(), order.begin() + shortlist, order.end(),
-                     [&](size_t a, size_t b) {
-                       if (approx[a] != approx[b]) return approx[a] > approx[b];
-                       return rows[a] < rows[b];
-                     });
-    std::vector<int> kept(shortlist);
-    for (size_t i = 0; i < shortlist; ++i) kept[i] = rows[order[i]];
+    std::vector<int> kept;
+    kept.reserve(shortlist);
+    for (size_t i : SelectTopK(rows.size(), shortlist, [&](size_t a, size_t b) {
+           if (approx[a] != approx[b]) return approx[a] > approx[b];
+           return rows[a] < rows[b];
+         })) {
+      kept.push_back(rows[i]);
+    }
     std::sort(kept.begin(), kept.end());  // restore ascending-doc order
     rows = std::move(kept);
   }
@@ -234,25 +234,16 @@ std::vector<int> RagLlmSimulator::DenseRetrieve(int query_index, int k) const {
       q.data(), dense_.inv_norm(static_cast<size_t>(query_index)),
       dense_.data(), dense_.cols(), rows.data(), rows.size(),
       dense_.inv_norms(), scores.data());
-  std::vector<std::pair<float, int>> scored;
-  scored.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    scored.emplace_back(scores[i], rows[i]);
-  }
-  const auto order = [](const std::pair<float, int>& a,
-                        const std::pair<float, int>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  if (static_cast<size_t>(k) < scored.size()) {
-    std::nth_element(scored.begin(), scored.begin() + k, scored.end(),
-                     order);
-    scored.resize(static_cast<size_t>(k));
-  }
-  std::sort(scored.begin(), scored.end(), order);
   std::vector<int> out;
-  out.reserve(scored.size());
-  for (const auto& [s, d] : scored) out.push_back(d);
+  for (size_t i : SelectTopK(rows.size(), static_cast<size_t>(k),
+                             [&](size_t a, size_t b) {
+                               if (scores[a] != scores[b]) {
+                                 return scores[a] > scores[b];
+                               }
+                               return rows[a] < rows[b];
+                             })) {
+    out.push_back(rows[i]);
+  }
   return out;
 }
 

@@ -109,7 +109,9 @@ struct ServiceMatch {
 /// \brief Response shared by the three similarity endpoints.
 struct QueryResponse {
   std::vector<ServiceMatch> matches;  // best first
-  int candidates = 0;                 // LSH candidate count before ranking
+  // Generator candidates before ranking: LSH bucket hits, or graph-walk
+  // results under kIndexHnsw.
+  int candidates = 0;
 };
 
 /// \brief Column similarity request: either a corpus table by id, or an

@@ -2,9 +2,10 @@
 //
 // A shard owns everything needed to answer similarity and grounding
 // queries over its subset of the corpus: the table slots (live +
-// tombstoned), the three per-task LSH indexes with their flat embedding
-// matrices, the doc-local lexical statistics behind Ask, and one
-// SharedMutex (util/mutex.h, the annotated std::shared_mutex).
+// tombstoned), one TaskIndex per serving task (tables, columns,
+// entities: a flat embedding matrix, its refs, an LSH index and an
+// optional HNSW graph), the doc-local lexical statistics behind Ask,
+// and one SharedMutex (util/mutex.h, the annotated std::shared_mutex).
 // TabBinService (service/sharded_service.h) hash-partitions the corpus
 // across N >= 1 of them so a write to one shard never blocks reads on
 // the others.
@@ -25,13 +26,13 @@
 #ifndef TABBIN_SERVICE_SHARD_H_
 #define TABBIN_SERVICE_SHARD_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/encoder_engine.h"
 #include "core/tabbin.h"
 #include "index/hnsw_index.h"
 #include "service/service_types.h"
@@ -44,12 +45,30 @@
 
 namespace tabbin {
 
-// Embedding widths per task, fixed by the composite constructions
-// (Fig. 5): CC composite is HMD ⊕ column mean, TC composite is
-// row ⊕ HMD ⊕ VMD means, entity embeddings come from the column model.
-int ServiceColumnDim(const TabBiNSystem& sys);
-int ServiceTableDim(const TabBiNSystem& sys);
-int ServiceEntityDim(const TabBiNSystem& sys);
+/// \brief The three serving tasks, in the order every per-task loop and
+/// every store section group (tbl, col, ent) runs.
+enum ServiceTask : int {
+  kTaskTable = 0,
+  kTaskColumn = 1,
+  kTaskEntity = 2,
+};
+inline constexpr int kNumServiceTasks = 3;
+
+/// \brief Embedding width of a task, fixed by the composite
+/// constructions (Fig. 5): the TC composite is row ⊕ HMD ⊕ VMD means,
+/// the CC composite HMD ⊕ column mean, and entity embeddings come from
+/// the column model.
+int ServiceTaskDim(const TabBiNSystem& sys, int task);
+
+/// \brief Task names as error messages spell them.
+inline constexpr const char* kServiceTaskNames[kNumServiceTasks] = {
+    "table", "column", "entity"};
+
+/// \brief OutOfRange unless (row, col) addresses a queryable cell of a
+/// rows x cols grid: a column query checks `col`, an entity query the
+/// cell, a table query nothing. Shared by inline and id-addressed
+/// queries so both report the same error.
+Status CheckQueryCell(ServiceTask task, int rows, int cols, int row, int col);
 
 /// \brief Total order on matches: score descending, then table id /
 /// column / row ascending. Partition-independent — the property every
@@ -86,15 +105,44 @@ std::string StoreShardPrefix(uint32_t shard);
 
 class ServiceShard {
  public:
-  struct ColumnRef {
-    int slot = 0;
-    int col = 0;
+  /// \brief The owner of one index row: its slot, plus the grid cell
+  /// the row embeds (-1 / empty where the task has none — a table row
+  /// has neither row nor col, a column row no row and no surface).
+  struct Ref {
+    int slot = -1;
+    int row = -1;
+    int col = -1;
+    std::string surface;  // entity rows only
   };
-  struct EntityRef {
-    int slot = 0;
-    int row = 0;
-    int col = 0;
-    std::string surface;
+
+  /// \brief One task's index: row i of `vecs` ↔ refs[i] ↔ LSH id i ↔
+  /// graph node i.
+  struct TaskIndex {
+    /// Empty index with the service's LSH geometry; the int8 sidecar and
+    /// the graph are set up when the options turn them on.
+    TaskIndex(int dim, const ServiceOptions& options);
+
+    /// Appends one row to the matrix, refs, LSH index and graph.
+    Status Append(const std::vector<float>& vec, Ref ref);
+
+    /// The candidate generator: a graph walk with beam `beam` when the
+    /// graph exists, the LSH bucket probe of `keys` otherwise. Both hand
+    /// back row ids; everything downstream is shared.
+    std::vector<int> Candidates(VecView query,
+                                const std::vector<uint64_t>& keys,
+                                int beam) const;
+
+    LshIndex lsh;
+    EmbeddingMatrix vecs;
+    std::vector<Ref> refs;
+    // Non-null exactly when options.index_kind == kIndexHnsw. The LSH
+    // index is ALWAYS maintained — it costs little and restores the
+    // reference path byte for byte when the graph is dropped.
+    std::unique_ptr<HnswIndex> hnsw;
+  };
+
+  struct RowRange {
+    int begin = -1, end = -1;  // -1 / -1 when the slot owns no row
   };
   struct TableSlot {
     // The parsed table — populated on live inserts and re-partitions.
@@ -109,17 +157,15 @@ class ServiceShard {
     size_t json_len = 0;
     std::string id;  // canonical serving id (never empty)
     bool live = true;
-    // Eager mirrors of the table fields the query paths read (emit
-    // lambdas, Resolve* bounds checks) — valid in both storage modes.
+    // Eager mirrors of the table fields the query paths read (emit,
+    // Resolve bounds checks) — valid in both storage modes.
     std::string caption;
     int grid_rows = 0, grid_cols = 0;
-    // Index rows owned by this slot, so id-addressed queries are served
-    // from the stored embeddings instead of re-encoding: exactly one
-    // table row, a contiguous column range, a contiguous entity range
-    // (-1 / empty when absent).
-    int tbl_row = -1;
-    int col_begin = -1, col_end = -1;
-    int ent_begin = -1, ent_end = -1;
+    // Index rows owned by this slot, per task, so id-addressed queries
+    // are served from the stored embeddings instead of re-encoding:
+    // exactly one table row (slot i owns table row i), a contiguous
+    // column range, a contiguous entity range.
+    std::array<RowRange, kNumServiceTasks> rows;
     // Doc-local lexical stats for the Ask gate (term -> count over the
     // serialized table text). Derived on insert; the v2 paged store
     // persists it (sorted) so a mapped restore rebuilds the postings
@@ -134,22 +180,19 @@ class ServiceShard {
   /// by liveness at query time) until Compact rebuilds.
   using LexPostings = std::unordered_map<std::string, std::vector<int>>;
 
-  // Everything AddTables derives from one table before touching shared
-  // state (embeddings computed, widths validated).
-  struct PreparedTable {
-    std::vector<std::pair<int, std::vector<float>>> columns;  // grid col
-    std::vector<float> table_vec;
-    std::vector<std::pair<EntityRef, std::vector<float>>> entities;
-  };
+  /// \brief A table's embedding rows per task, with refs whose `slot` is
+  /// assigned on insert: everything AddTables derives from one table
+  /// before touching shared state (embeddings computed, widths
+  /// validated).
+  using TaskRows = std::vector<std::pair<Ref, std::vector<float>>>;
+  using PreparedTable = std::array<TaskRows, kNumServiceTasks>;
 
   /// \brief One live table with its stored embedding rows — the
   /// exchange format for re-partitioning a store onto a new shard count.
   struct LiveTableRows {
     Table table;
     std::string id;
-    std::vector<float> table_vec;
-    std::vector<std::pair<int, std::vector<float>>> columns;
-    std::vector<std::pair<EntityRef, std::vector<float>>> entities;
+    PreparedTable rows;
   };
 
   ServiceShard(const TabBiNSystem* system, const ServiceOptions& options);
@@ -174,8 +217,8 @@ class ServiceShard {
       TABBIN_EXCLUDES(mu_);
 
   /// \brief Re-inserts one table from stored embedding rows
-  /// (re-partitioning): validates widths, then inserts without
-  /// any encoder involvement. ParseError on width mismatch.
+  /// (re-partitioning): validates widths and cells, then inserts
+  /// without any encoder involvement. ParseError on a mismatch.
   Status InsertRows(LiveTableRows&& rows, AddReport* report)
       TABBIN_EXCLUDES(mu_);
 
@@ -213,51 +256,22 @@ class ServiceShard {
     Table table_copy;
     bool needs_encode = false;
   };
-  Result<Resolved> ResolveColumn(const std::string& id, int col) const
-      TABBIN_EXCLUDES(mu_);
-  Result<Resolved> ResolveTable(const std::string& id) const
-      TABBIN_EXCLUDES(mu_);
-  Result<Resolved> ResolveEntity(const std::string& id, int row,
-                                 int col) const TABBIN_EXCLUDES(mu_);
+  /// `row` / `col` address the query's cell (-1 where the task has
+  /// none). NotFound for an id not live here, OutOfRange for a cell
+  /// outside the table's grid.
+  Result<Resolved> Resolve(ServiceTask task, const std::string& id,
+                           int row, int col) const TABBIN_EXCLUDES(mu_);
 
-  /// \brief This shard's ranked contribution to one scattered query.
-  struct MatchSet {
-    std::vector<ServiceMatch> matches;  // ServiceMatchOrder, <= k
-    int candidates = 0;                 // LSH candidates before ranking
-  };
-  /// `keys` are the query's LSH bucket keys, hashed ONCE by the
-  /// coordinator (QueryHashers) and probed into every shard — identical
-  /// hyperplanes everywhere make the probe exact, and N shards cost one
-  /// hash instead of N.
-  MatchSet TopColumns(VecView query, const std::vector<uint64_t>& keys,
-                      int k, const std::string& exclude_id,
-                      int exclude_col) const TABBIN_EXCLUDES(mu_);
-  MatchSet TopTables(VecView query, const std::vector<uint64_t>& keys,
-                     int k, const std::string& exclude_id) const
-      TABBIN_EXCLUDES(mu_);
-  MatchSet TopEntities(VecView query, const std::vector<uint64_t>& keys,
-                       int k, const std::string& exclude_id,
-                       int exclude_row, int exclude_col) const
-      TABBIN_EXCLUDES(mu_);
-
-  // --- Batched reads (one shared-lock hold for the whole batch) ---------
-  // One coalesced query against this shard. Views/pointers reference
-  // coordinator-owned storage that outlives the call; `exclude_id` must
-  // never be null (point it at an empty string for inline queries).
-  struct ColumnProbe {
-    VecView query;
-    const std::vector<uint64_t>* keys = nullptr;
-    int k = 0;
-    const std::string* exclude_id = nullptr;
-    int exclude_col = -1;
-  };
-  struct TableProbe {
-    VecView query;
-    const std::vector<uint64_t>* keys = nullptr;
-    int k = 0;
-    const std::string* exclude_id = nullptr;
-  };
-  struct EntityProbe {
+  /// \brief One query against this shard. Views/pointers reference
+  /// coordinator-owned storage that outlives the call. `keys` are the
+  /// query's LSH bucket keys, hashed ONCE by the coordinator and probed
+  /// into every shard — identical hyperplanes everywhere make the probe
+  /// exact, and N shards cost one hash instead of N. A row is excluded
+  /// when it belongs to `exclude_id`'s slot at (exclude_row,
+  /// exclude_col); `exclude_id` must never be null (point it at an
+  /// empty string to exclude nothing).
+  struct Probe {
+    ServiceTask task = kTaskTable;
     VecView query;
     const std::vector<uint64_t>* keys = nullptr;
     int k = 0;
@@ -266,24 +280,25 @@ class ServiceShard {
     int exclude_col = -1;
   };
 
-  /// \brief Ranks a batch of coalesced queries under ONE reader-lock
-  /// hold. out[i] is byte-identical to the matching single-query call:
-  /// each probe runs the exact same locked ranking body, in probe
-  /// order, against one consistent view of the shard. Batching is what
-  /// lets the executor serialize read windows so the per-shard reader
-  /// count actually reaches zero between batches — the writer-
-  /// starvation fix (see src/exec/).
-  std::vector<MatchSet> TopColumnsBatch(
-      const std::vector<ColumnProbe>& probes) const TABBIN_EXCLUDES(mu_);
-  std::vector<MatchSet> TopTablesBatch(
-      const std::vector<TableProbe>& probes) const TABBIN_EXCLUDES(mu_);
-  std::vector<MatchSet> TopEntitiesBatch(
-      const std::vector<EntityProbe>& probes) const TABBIN_EXCLUDES(mu_);
+  /// \brief This shard's ranked contribution to one scattered query.
+  struct MatchSet {
+    std::vector<ServiceMatch> matches;  // ServiceMatchOrder, <= k
+    int candidates = 0;  // generator (LSH or graph) candidates
+  };
+
+  /// \brief Ranks a batch of queries under ONE reader-lock hold. out[i]
+  /// is byte-identical to ranking probes[i] alone: each probe runs the
+  /// same locked ranking body, in probe order, against one consistent
+  /// view of the shard. Batching is what lets the executor serialize
+  /// read windows so the per-shard reader count actually reaches zero
+  /// between batches — the writer-starvation fix (see src/exec/).
+  std::vector<MatchSet> Rank(const std::vector<Probe>& probes) const
+      TABBIN_EXCLUDES(mu_);
 
   /// \brief This shard's Ask candidates: the lexical top-`pool` of its
   /// live documents (doc-local saturated-tf score over the sorted
-  /// distinct query terms) and the live dense LSH candidates, each with
-  /// their exact cosine against the question embedding.
+  /// distinct query terms) and the dense top-`pool` of the table task,
+  /// each with their exact cosine against the question embedding.
   struct LexicalHit {
     // Partition-independent lexical score. Kept in double: the shard-
     // local pool cut and the coordinator's merged cut must order by the
@@ -295,21 +310,19 @@ class ServiceShard {
   };
   struct AskPartial {
     std::vector<LexicalHit> lexical;   // (lex desc, id asc), <= pool
-    std::vector<ServiceMatch> dense;   // unordered, live only
+    std::vector<ServiceMatch> dense;   // ServiceMatchOrder, <= pool
     size_t live = 0;                   // live tables in this shard
   };
+  /// `dense` is a table-task probe with k = pool.
   AskPartial AskCandidates(const std::vector<std::string>& query_terms,
-                           VecView query_vec,
-                           const std::vector<uint64_t>& tbl_keys,
-                           int pool) const TABBIN_EXCLUDES(mu_);
+                           const Probe& dense) const TABBIN_EXCLUDES(mu_);
 
   // --- Introspection ----------------------------------------------------
 
   size_t live_count() const TABBIN_EXCLUDES(mu_);
   size_t slot_count() const TABBIN_EXCLUDES(mu_);
   // includes tombstoned entries
-  size_t indexed_columns() const TABBIN_EXCLUDES(mu_);
-  size_t indexed_entities() const TABBIN_EXCLUDES(mu_);
+  size_t indexed_rows(ServiceTask task) const TABBIN_EXCLUDES(mu_);
   void AppendLiveIds(std::vector<std::string>* out) const
       TABBIN_EXCLUDES(mu_);
 
@@ -359,18 +372,11 @@ class ServiceShard {
   Result<Table> MaterializeTableLocked(const TableSlot& s) const
       TABBIN_REQUIRES_SHARED(mu_);
 
-  // `hnsw` is the task's graph generator (null when the graph path is
-  // off); candidates come from the graph walk when
-  // options_.index_kind == kIndexHnsw, from the LSH bucket probe
-  // otherwise — everything after candidate generation is shared.
-  template <typename Ref, typename Accept, typename TieLess,
-            typename Emit>
-  MatchSet RankLocked(const LshIndex& index, const HnswIndex* hnsw,
-                      const EmbeddingMatrix& vecs,
-                      const std::vector<Ref>& refs, VecView query_vec,
-                      const std::vector<uint64_t>& keys, int k,
-                      const Accept& accept, const TieLess& tie_less,
-                      const Emit& emit) const TABBIN_REQUIRES_SHARED(mu_);
+  /// \brief The one ranking body behind every read: candidates from the
+  /// task's generator, the exclusion filter, an optional int8
+  /// shortlist, the exact float rerank and the top-k cut, all in
+  /// ServiceMatchOrder.
+  MatchSet RankLocked(const Probe& probe) const TABBIN_REQUIRES_SHARED(mu_);
 
   /// \brief Builds the three HNSW graphs from the current matrix rows
   /// (in row order — deterministic), marking rows of tombstoned slots
@@ -381,53 +387,19 @@ class ServiceShard {
   /// (no-op when the graph path is off).
   void MarkSlotDeadInHnswLocked(const TableSlot& s) TABBIN_REQUIRES(mu_);
 
-  // The full per-query ranking bodies, shared verbatim by the one-lock-
-  // per-query entry points above and the one-lock-per-batch variants —
-  // the code identity that makes batched answers byte-equal.
-  MatchSet TopColumnsLocked(VecView query, const std::vector<uint64_t>& keys,
-                            int k, const std::string& exclude_id,
-                            int exclude_col) const
-      TABBIN_REQUIRES_SHARED(mu_);
-  MatchSet TopTablesLocked(VecView query, const std::vector<uint64_t>& keys,
-                           int k, const std::string& exclude_id) const
-      TABBIN_REQUIRES_SHARED(mu_);
-  MatchSet TopEntitiesLocked(VecView query,
-                             const std::vector<uint64_t>& keys, int k,
-                             const std::string& exclude_id, int exclude_row,
-                             int exclude_col) const
-      TABBIN_REQUIRES_SHARED(mu_);
-
   const TabBiNSystem* system_;
 
   mutable SharedMutex mu_;
   // options_ is guarded too: SetQuantizedScan mutates the scan knobs at
-  // runtime while queries read them inside RankLocked/AskCandidates.
+  // runtime while queries read them inside RankLocked.
   ServiceOptions options_ TABBIN_GUARDED_BY(mu_);
   std::vector<TableSlot> slots_ TABBIN_GUARDED_BY(mu_);
   // live ids only
   std::unordered_map<std::string, int> id_to_slot_ TABBIN_GUARDED_BY(mu_);
   int live_count_ TABBIN_GUARDED_BY(mu_) = 0;
 
-  LshIndex col_index_ TABBIN_GUARDED_BY(mu_);
-  // row i ↔ col_refs_[i] ↔ LSH id i
-  EmbeddingMatrix col_vecs_ TABBIN_GUARDED_BY(mu_);
-  std::vector<ColumnRef> col_refs_ TABBIN_GUARDED_BY(mu_);
-
-  LshIndex tbl_index_ TABBIN_GUARDED_BY(mu_);
-  EmbeddingMatrix tbl_vecs_ TABBIN_GUARDED_BY(mu_);
-  std::vector<int> tbl_refs_ TABBIN_GUARDED_BY(mu_);  // row i -> slot
-
-  LshIndex ent_index_ TABBIN_GUARDED_BY(mu_);
-  EmbeddingMatrix ent_vecs_ TABBIN_GUARDED_BY(mu_);
-  std::vector<EntityRef> ent_refs_ TABBIN_GUARDED_BY(mu_);
-
-  // HNSW graph candidate generators, one per task matrix. Null unless
-  // options_.index_kind == kIndexHnsw (the LSH indexes are ALWAYS
-  // maintained — they cost little and serve the Ask dense stage's key
-  // probe). Node id i of a graph IS row i of its matrix.
-  std::unique_ptr<HnswIndex> col_hnsw_ TABBIN_GUARDED_BY(mu_);
-  std::unique_ptr<HnswIndex> tbl_hnsw_ TABBIN_GUARDED_BY(mu_);
-  std::unique_ptr<HnswIndex> ent_hnsw_ TABBIN_GUARDED_BY(mu_);
+  // Indexed by ServiceTask.
+  std::array<TaskIndex, kNumServiceTasks> tasks_ TABBIN_GUARDED_BY(mu_);
 
   LexPostings lex_postings_ TABBIN_GUARDED_BY(mu_);
 
@@ -436,73 +408,6 @@ class ServiceShard {
   // Dropped by Compact once all state has been materialized to heap.
   std::shared_ptr<const void> store_keepalive_ TABBIN_GUARDED_BY(mu_);
 };
-
-// ---------------------------------------------------------------------------
-// Scatter-gather coordinator behind TabBinService. All functions are
-// free of service state: they see the system/engine/options plus a
-// stable view of the shard set, route id-addressed requests to the
-// owning shard (ShardIndexFor), encode ad-hoc inputs outside every
-// lock, fan the ranking out (across ThreadPool::Global() when there is
-// more than one shard, inline otherwise), and merge with the
-// partition-independent ServiceMatchOrder.
-// ---------------------------------------------------------------------------
-
-/// \brief Lock-free per-task hashers with the same geometry and seed as
-/// every shard's indexes. Immutable after construction, so coordinators
-/// hash each query vector once — no shard lock, no per-shard re-hash.
-struct QueryHashers {
-  LshIndex col, tbl, ent;
-  QueryHashers(const TabBiNSystem& sys, const ServiceOptions& o)
-      : col(ServiceColumnDim(sys), o.lsh_bits, o.lsh_tables, o.lsh_seed),
-        tbl(ServiceTableDim(sys), o.lsh_bits, o.lsh_tables, o.lsh_seed),
-        ent(ServiceEntityDim(sys), o.lsh_bits, o.lsh_tables, o.lsh_seed) {}
-};
-
-struct ServingCore {
-  const TabBiNSystem* system = nullptr;
-  EncoderEngine* engine = nullptr;
-  const ServiceOptions* options = nullptr;
-  const QueryHashers* hashers = nullptr;
-  const std::vector<ServiceShard*>* shards = nullptr;
-};
-
-Result<AddReport> ScatterAddTables(const ServingCore& core,
-                                   const std::vector<Table>& tables);
-Status ScatterRemoveTable(const ServingCore& core, const std::string& id);
-Status ScatterCompact(const ServingCore& core);
-
-Result<QueryResponse> ScatterSimilarColumns(const ServingCore& core,
-                                            const ColumnQueryRequest& req);
-Result<QueryResponse> ScatterSimilarTables(const ServingCore& core,
-                                           const TableQueryRequest& req);
-Result<QueryResponse> ScatterSimilarEntities(const ServingCore& core,
-                                             const EntityQueryRequest& req);
-Result<AskResponse> ScatterAsk(const ServingCore& core,
-                               const AskRequest& req);
-
-// Batched variants (the async executor's coalesced path): out[i] is
-// byte-identical to the matching single-query Scatter* call. Every
-// request is planned (validated / encoded / hashed) through the SAME
-// helpers as the single path, outside all locks; the ranking then
-// takes ONE reader-lock hold per shard for the whole batch. A request
-// that fails planning gets its own error Status without failing the
-// rest of the batch.
-std::vector<Result<QueryResponse>> ScatterSimilarColumnsBatch(
-    const ServingCore& core, const std::vector<ColumnQueryRequest>& reqs);
-std::vector<Result<QueryResponse>> ScatterSimilarTablesBatch(
-    const ServingCore& core, const std::vector<TableQueryRequest>& reqs);
-std::vector<Result<QueryResponse>> ScatterSimilarEntitiesBatch(
-    const ServingCore& core, const std::vector<EntityQueryRequest>& reqs);
-
-// The service's embedding accessors (engine-cached encode → composite;
-// thread-safe, no shard locks).
-std::vector<float> ServingColumnEmbedding(const ServingCore& core,
-                                          const Table& table, int col);
-std::vector<float> ServingTableEmbedding(const ServingCore& core,
-                                         const Table& table);
-std::vector<float> ServingEntityEmbedding(const ServingCore& core,
-                                          const Table& table, int row,
-                                          int col);
 
 }  // namespace tabbin
 

@@ -17,7 +17,9 @@
 // pollution included) so a restored shard answers byte-identically to
 // the saved one, down to the `candidates` counts.
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -75,6 +77,40 @@ namespace {
 constexpr uint64_t kMinSlotBytes = 40;
 constexpr uint64_t kMinRefBytes = 4;
 
+// Section stems per task; every per-task section group runs in task
+// order (tbl, col, ent).
+constexpr const char* kStem[kNumServiceTasks] = {"tbl", "col", "ent"};
+// The ref blocks alone run col, tbl, ent — the order the format was
+// first written in — and each task keeps its own ref encoding: a table
+// ref is its slot, a column ref (slot, col), an entity ref (slot, row,
+// col, surface). kRefInts counts the leading i32 fields.
+constexpr ServiceTask kRefOrder[kNumServiceTasks] = {kTaskColumn, kTaskTable,
+                                                     kTaskEntity};
+constexpr uint64_t kRefInts[kNumServiceTasks] = {1, 2, 3};
+
+void WriteRef(BinaryWriter* w, ServiceTask task,
+              const ServiceShard::Ref& ref) {
+  w->WriteI32(ref.slot);
+  if (task == kTaskTable) return;
+  if (task == kTaskEntity) w->WriteI32(ref.row);
+  w->WriteI32(ref.col);
+  if (task == kTaskEntity) w->WriteString(ref.surface);
+}
+
+Result<ServiceShard::Ref> ReadRef(BinaryReader* r, ServiceTask task) {
+  ServiceShard::Ref ref;
+  TABBIN_ASSIGN_OR_RETURN(ref.slot, r->ReadI32());
+  if (task == kTaskTable) return ref;
+  if (task == kTaskEntity) {
+    TABBIN_ASSIGN_OR_RETURN(ref.row, r->ReadI32());
+  }
+  TABBIN_ASSIGN_OR_RETURN(ref.col, r->ReadI32());
+  if (task == kTaskEntity) {
+    TABBIN_ASSIGN_OR_RETURN(ref.surface, r->ReadString());
+  }
+  return ref;
+}
+
 Result<std::vector<float>> ReadNormArray(BinaryReader* r, uint64_t rows,
                                          const char* what) {
   TABBIN_ASSIGN_OR_RETURN(std::vector<float> norms, r->ReadF32Vector());
@@ -115,11 +151,11 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
     meta->WriteString(s.caption);
     meta->WriteI32(s.grid_rows);
     meta->WriteI32(s.grid_cols);
-    meta->WriteI32(s.tbl_row);
-    meta->WriteI32(s.col_begin);
-    meta->WriteI32(s.col_end);
-    meta->WriteI32(s.ent_begin);
-    meta->WriteI32(s.ent_end);
+    meta->WriteI32(s.rows[kTaskTable].begin);
+    meta->WriteI32(s.rows[kTaskColumn].begin);
+    meta->WriteI32(s.rows[kTaskColumn].end);
+    meta->WriteI32(s.rows[kTaskEntity].begin);
+    meta->WriteI32(s.rows[kTaskEntity].end);
     // Table JSON goes to the blob verbatim when the slot is still lazy
     // (it IS the bytes a previous save produced — no parse, no
     // re-serialize), otherwise it is rendered from the parsed table.
@@ -146,46 +182,29 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
     }
   }
 
-  meta->WriteU64(col_refs_.size());
-  for (const ColumnRef& ref : col_refs_) {
-    meta->WriteI32(ref.slot);
-    meta->WriteI32(ref.col);
+  for (ServiceTask t : kRefOrder) {
+    meta->WriteU64(tasks_[t].refs.size());
+    for (const Ref& ref : tasks_[t].refs) WriteRef(meta, t, ref);
   }
-  meta->WriteU64(tbl_refs_.size());
-  for (int slot : tbl_refs_) meta->WriteI32(slot);
-  meta->WriteU64(ent_refs_.size());
-  for (const EntityRef& ref : ent_refs_) {
-    meta->WriteI32(ref.slot);
-    meta->WriteI32(ref.row);
-    meta->WriteI32(ref.col);
-    meta->WriteString(ref.surface);
+  for (const TaskIndex& index : tasks_) {
+    meta->WriteU64(index.vecs.rows());
+    meta->WriteU64(index.vecs.cols());
   }
-  meta->WriteU64(tbl_vecs_.rows());
-  meta->WriteU64(tbl_vecs_.cols());
-  meta->WriteU64(col_vecs_.rows());
-  meta->WriteU64(col_vecs_.cols());
-  meta->WriteU64(ent_vecs_.rows());
-  meta->WriteU64(ent_vecs_.cols());
 
   BinaryWriter* norms = w->AddSection(prefix + "norms");
-  norms->WriteU64(tbl_vecs_.rows());
-  norms->WriteBytes(tbl_vecs_.inv_norms(),
-                    tbl_vecs_.rows() * sizeof(float));
-  norms->WriteU64(col_vecs_.rows());
-  norms->WriteBytes(col_vecs_.inv_norms(),
-                    col_vecs_.rows() * sizeof(float));
-  norms->WriteU64(ent_vecs_.rows());
-  norms->WriteBytes(ent_vecs_.inv_norms(),
-                    ent_vecs_.rows() * sizeof(float));
+  for (const TaskIndex& index : tasks_) {
+    norms->WriteU64(index.vecs.rows());
+    norms->WriteBytes(index.vecs.inv_norms(),
+                      index.vecs.rows() * sizeof(float));
+  }
 
   BinaryWriter* lsh = w->AddSection(prefix + "lsh");
-  tbl_index_.Serialize(lsh);
-  col_index_.Serialize(lsh);
-  ent_index_.Serialize(lsh);
+  for (const TaskIndex& index : tasks_) index.lsh.Serialize(lsh);
 
-  tbl_vecs_.AppendRowBytes(w->AddSection(prefix + "tbl", kStoreBlockAlign));
-  col_vecs_.AppendRowBytes(w->AddSection(prefix + "col", kStoreBlockAlign));
-  ent_vecs_.AppendRowBytes(w->AddSection(prefix + "ent", kStoreBlockAlign));
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    tasks_[t].vecs.AppendRowBytes(
+        w->AddSection(prefix + kStem[t], kStoreBlockAlign));
+  }
 
   // HNSW graphs, when built: two sections per graph mirroring the
   // metadata/bulk split above — geometry + upper levels in a
@@ -193,16 +212,14 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
   // block the loader borrows zero-copy. Absent sections (the default
   // LSH configuration) leave the file byte-identical to a pre-graph
   // save; presence of the sections IS the persisted index_kind knob.
-  if (tbl_hnsw_ && col_hnsw_ && ent_hnsw_) {
-    tbl_hnsw_->SerializeMeta(w->AddSection(prefix + "hnsw.tblmeta"));
-    tbl_hnsw_->AppendLevel0Bytes(
-        w->AddSection(prefix + "hnsw.tbl0", kStoreBlockAlign));
-    col_hnsw_->SerializeMeta(w->AddSection(prefix + "hnsw.colmeta"));
-    col_hnsw_->AppendLevel0Bytes(
-        w->AddSection(prefix + "hnsw.col0", kStoreBlockAlign));
-    ent_hnsw_->SerializeMeta(w->AddSection(prefix + "hnsw.entmeta"));
-    ent_hnsw_->AppendLevel0Bytes(
-        w->AddSection(prefix + "hnsw.ent0", kStoreBlockAlign));
+  bool graphs = true;
+  for (const TaskIndex& index : tasks_) graphs = graphs && index.hnsw;
+  if (!graphs) return;
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    const std::string stem = prefix + "hnsw." + kStem[t];
+    tasks_[t].hnsw->SerializeMeta(w->AddSection(stem + "meta"));
+    tasks_[t].hnsw->AppendLevel0Bytes(
+        w->AddSection(stem + "0", kStoreBlockAlign));
   }
 }
 
@@ -237,11 +254,12 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
     TABBIN_ASSIGN_OR_RETURN(s.caption, meta.ReadString());
     TABBIN_ASSIGN_OR_RETURN(s.grid_rows, meta.ReadI32());
     TABBIN_ASSIGN_OR_RETURN(s.grid_cols, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(s.tbl_row, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(s.col_begin, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(s.col_end, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(s.ent_begin, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(s.ent_end, meta.ReadI32());
+    // Slot i owns exactly table row i; checked below with the ranges.
+    TABBIN_ASSIGN_OR_RETURN(s.rows[kTaskTable].begin, meta.ReadI32());
+    TABBIN_ASSIGN_OR_RETURN(s.rows[kTaskColumn].begin, meta.ReadI32());
+    TABBIN_ASSIGN_OR_RETURN(s.rows[kTaskColumn].end, meta.ReadI32());
+    TABBIN_ASSIGN_OR_RETURN(s.rows[kTaskEntity].begin, meta.ReadI32());
+    TABBIN_ASSIGN_OR_RETURN(s.rows[kTaskEntity].end, meta.ReadI32());
     TABBIN_ASSIGN_OR_RETURN(uint64_t json_off, meta.ReadU64());
     TABBIN_ASSIGN_OR_RETURN(uint64_t json_len, meta.ReadU64());
     // Overflow-safe containment in the mapped blob — the pointer below
@@ -279,95 +297,83 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
     }
   }
 
-  TABBIN_ASSIGN_OR_RETURN(uint64_t n_cols, meta.ReadU64());
-  if (n_cols > meta.remaining() / (2 * kMinRefBytes)) {
-    return Status::ParseError("paged store: column ref count past end");
-  }
-  col_refs_.reserve(static_cast<size_t>(n_cols));
-  for (uint64_t i = 0; i < n_cols; ++i) {
-    ColumnRef ref;
-    TABBIN_ASSIGN_OR_RETURN(ref.slot, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(ref.col, meta.ReadI32());
-    if (ref.slot < 0 || ref.slot >= static_cast<int>(slots_.size())) {
-      return Status::ParseError("paged store: column ref slot range");
+  for (ServiceTask t : kRefOrder) {
+    const std::string what =
+        std::string("paged store: ") + kServiceTaskNames[t] + " ref";
+    std::vector<Ref>& refs = tasks_[t].refs;
+    TABBIN_ASSIGN_OR_RETURN(uint64_t n_refs, meta.ReadU64());
+    if (n_refs > meta.remaining() / (kRefInts[t] * kMinRefBytes)) {
+      return Status::ParseError(what + " count past end");
     }
-    col_refs_.push_back(ref);
-  }
-  TABBIN_ASSIGN_OR_RETURN(uint64_t n_tbls, meta.ReadU64());
-  if (n_tbls > meta.remaining() / kMinRefBytes) {
-    return Status::ParseError("paged store: table ref count past end");
-  }
-  tbl_refs_.reserve(static_cast<size_t>(n_tbls));
-  for (uint64_t i = 0; i < n_tbls; ++i) {
-    TABBIN_ASSIGN_OR_RETURN(int32_t slot, meta.ReadI32());
-    if (slot < 0 || slot >= static_cast<int>(slots_.size())) {
-      return Status::ParseError("paged store: table ref slot range");
+    refs.reserve(static_cast<size_t>(n_refs));
+    for (uint64_t i = 0; i < n_refs; ++i) {
+      TABBIN_ASSIGN_OR_RETURN(Ref ref, ReadRef(&meta, t));
+      if (ref.slot < 0 || ref.slot >= static_cast<int>(slots_.size())) {
+        return Status::ParseError(what + " slot range");
+      }
+      refs.push_back(std::move(ref));
     }
-    tbl_refs_.push_back(slot);
-  }
-  TABBIN_ASSIGN_OR_RETURN(uint64_t n_ents, meta.ReadU64());
-  if (n_ents > meta.remaining() / (3 * kMinRefBytes)) {
-    return Status::ParseError("paged store: entity ref count past end");
-  }
-  ent_refs_.reserve(static_cast<size_t>(n_ents));
-  for (uint64_t i = 0; i < n_ents; ++i) {
-    EntityRef ref;
-    TABBIN_ASSIGN_OR_RETURN(ref.slot, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(ref.row, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(ref.col, meta.ReadI32());
-    TABBIN_ASSIGN_OR_RETURN(ref.surface, meta.ReadString());
-    if (ref.slot < 0 || ref.slot >= static_cast<int>(slots_.size())) {
-      return Status::ParseError("paged store: entity ref slot range");
-    }
-    ent_refs_.push_back(std::move(ref));
   }
 
-  // Per-slot index ranges must stay inside the ref arrays they address
-  // (a forged range would otherwise index out of them at query time).
-  for (const TableSlot& s : slots_) {
-    const bool tbl_ok =
-        s.tbl_row >= -1 && s.tbl_row < static_cast<int>(tbl_refs_.size());
-    const bool col_ok =
-        (s.col_begin == -1 && s.col_end == -1) ||
-        (s.col_begin >= 0 && s.col_begin <= s.col_end &&
-         s.col_end <= static_cast<int>(col_refs_.size()));
-    const bool ent_ok =
-        (s.ent_begin == -1 && s.ent_end == -1) ||
-        (s.ent_begin >= 0 && s.ent_begin <= s.ent_end &&
-         s.ent_end <= static_cast<int>(ent_refs_.size()));
-    if (!tbl_ok || !col_ok || !ent_ok) {
+  // What InsertPreparedLocked guarantees by construction, and the query
+  // paths rely on: slot i owns table row i, every per-slot range stays
+  // inside the ref array it addresses, and every ref in a slot's range
+  // names that slot. A forged range or ref would otherwise send a query
+  // outside a matrix or answer for the wrong table.
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    TableSlot& s = slots_[i];
+    if (s.rows[kTaskTable].begin != static_cast<int>(i)) {
       return Status::ParseError(
-          "paged store: slot index range outside its ref array");
+          "paged store: slot " + std::to_string(i) +
+          " does not own table row " + std::to_string(i));
+    }
+    s.rows[kTaskTable].end = static_cast<int>(i) + 1;
+    for (int t = 0; t < kNumServiceTasks; ++t) {
+      const RowRange& range = s.rows[t];
+      const std::vector<Ref>& refs = tasks_[t].refs;
+      const bool in_array =
+          (range.begin == -1 && range.end == -1) ||
+          (range.begin >= 0 && range.begin <= range.end &&
+           range.end <= static_cast<int>(refs.size()));
+      if (!in_array) {
+        return Status::ParseError(
+            "paged store: slot index range outside its ref array");
+      }
+      for (int r = range.begin; r >= 0 && r < range.end; ++r) {
+        if (refs[static_cast<size_t>(r)].slot != static_cast<int>(i)) {
+          return Status::ParseError(
+              std::string("paged store: ") + kServiceTaskNames[t] +
+              " ref in slot " + std::to_string(i) +
+              "'s range names another slot");
+        }
+      }
     }
   }
 
   struct Dims {
     uint64_t rows = 0, cols = 0;
   };
-  Dims tbl_d, col_d, ent_d;
-  TABBIN_ASSIGN_OR_RETURN(tbl_d.rows, meta.ReadU64());
-  TABBIN_ASSIGN_OR_RETURN(tbl_d.cols, meta.ReadU64());
-  TABBIN_ASSIGN_OR_RETURN(col_d.rows, meta.ReadU64());
-  TABBIN_ASSIGN_OR_RETURN(col_d.cols, meta.ReadU64());
-  TABBIN_ASSIGN_OR_RETURN(ent_d.rows, meta.ReadU64());
-  TABBIN_ASSIGN_OR_RETURN(ent_d.cols, meta.ReadU64());
-  if (tbl_d.rows != tbl_refs_.size() || tbl_refs_.size() != slots_.size() ||
-      col_d.rows != col_refs_.size() || ent_d.rows != ent_refs_.size()) {
+  std::array<Dims, kNumServiceTasks> dims;
+  bool rows_ok = tasks_[kTaskTable].refs.size() == slots_.size();
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    TABBIN_ASSIGN_OR_RETURN(dims[t].rows, meta.ReadU64());
+    TABBIN_ASSIGN_OR_RETURN(dims[t].cols, meta.ReadU64());
+    rows_ok = rows_ok && dims[t].rows == tasks_[t].refs.size();
+  }
+  if (!rows_ok) {
     return Status::ParseError(
         "paged store: matrix rows disagree with ref arrays");
   }
   // A matrix that never held a row never learned its width (AppendRow
   // sets it), so an empty shard saves it as 0; any other width must be
   // the system's.
-  const auto width_ok = [](const Dims& d, int dim) {
-    return d.cols == static_cast<uint64_t>(dim) ||
-           (d.rows == 0 && d.cols == 0);
-  };
-  if (!width_ok(tbl_d, ServiceTableDim(*system_)) ||
-      !width_ok(col_d, ServiceColumnDim(*system_)) ||
-      !width_ok(ent_d, ServiceEntityDim(*system_))) {
-    return Status::ParseError(
-        "paged store: embedding width disagrees with the system");
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    const Dims& d = dims[t];
+    if (d.cols != static_cast<uint64_t>(ServiceTaskDim(*system_, t)) &&
+        !(d.rows == 0 && d.cols == 0)) {
+      return Status::ParseError(
+          "paged store: embedding width disagrees with the system");
+    }
   }
   if (!meta.AtEnd()) {
     return Status::ParseError("paged store: trailing bytes in shard meta");
@@ -375,44 +381,29 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
 
   TABBIN_ASSIGN_OR_RETURN(BinaryReader norms,
                           reader.Section(prefix + "norms"));
-  TABBIN_ASSIGN_OR_RETURN(std::vector<float> tbl_norms,
-                          ReadNormArray(&norms, tbl_d.rows, "table"));
-  TABBIN_ASSIGN_OR_RETURN(std::vector<float> col_norms,
-                          ReadNormArray(&norms, col_d.rows, "column"));
-  TABBIN_ASSIGN_OR_RETURN(std::vector<float> ent_norms,
-                          ReadNormArray(&norms, ent_d.rows, "entity"));
-
-  TABBIN_ASSIGN_OR_RETURN(ByteSpan tbl_span,
-                          reader.SectionSpanUnverified(prefix + "tbl"));
-  TABBIN_ASSIGN_OR_RETURN(ByteSpan col_span,
-                          reader.SectionSpanUnverified(prefix + "col"));
-  TABBIN_ASSIGN_OR_RETURN(ByteSpan ent_span,
-                          reader.SectionSpanUnverified(prefix + "ent"));
-  TABBIN_ASSIGN_OR_RETURN(
-      const float* tbl_block,
-      CheckBlock(tbl_span, tbl_d.rows, tbl_d.cols, "table"));
-  TABBIN_ASSIGN_OR_RETURN(
-      const float* col_block,
-      CheckBlock(col_span, col_d.rows, col_d.cols, "column"));
-  TABBIN_ASSIGN_OR_RETURN(
-      const float* ent_block,
-      CheckBlock(ent_span, ent_d.rows, ent_d.cols, "entity"));
-  tbl_vecs_.WrapExternal(tbl_block, tbl_d.rows, tbl_d.cols, keepalive,
-                         tbl_norms.data());
-  col_vecs_.WrapExternal(col_block, col_d.rows, col_d.cols, keepalive,
-                         col_norms.data());
-  ent_vecs_.WrapExternal(ent_block, ent_d.rows, ent_d.cols, keepalive,
-                         ent_norms.data());
+  std::array<std::vector<float>, kNumServiceTasks> inv_norms;
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    TABBIN_ASSIGN_OR_RETURN(
+        inv_norms[t],
+        ReadNormArray(&norms, dims[t].rows, kServiceTaskNames[t]));
+  }
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    TABBIN_ASSIGN_OR_RETURN(ByteSpan span,
+                            reader.SectionSpanUnverified(prefix + kStem[t]));
+    TABBIN_ASSIGN_OR_RETURN(const float* block,
+                            CheckBlock(span, dims[t].rows, dims[t].cols,
+                                       kServiceTaskNames[t]));
+    tasks_[t].vecs.WrapExternal(block, dims[t].rows, dims[t].cols,
+                                keepalive, inv_norms[t].data());
+  }
 
   TABBIN_ASSIGN_OR_RETURN(BinaryReader lsh, reader.Section(prefix + "lsh"));
-  TABBIN_ASSIGN_OR_RETURN(tbl_index_, LshIndex::Deserialize(&lsh));
-  TABBIN_ASSIGN_OR_RETURN(col_index_, LshIndex::Deserialize(&lsh));
-  TABBIN_ASSIGN_OR_RETURN(ent_index_, LshIndex::Deserialize(&lsh));
-  if (tbl_index_.dim() != ServiceTableDim(*system_) ||
-      col_index_.dim() != ServiceColumnDim(*system_) ||
-      ent_index_.dim() != ServiceEntityDim(*system_)) {
-    return Status::ParseError(
-        "paged store: LSH width disagrees with the system");
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    TABBIN_ASSIGN_OR_RETURN(tasks_[t].lsh, LshIndex::Deserialize(&lsh));
+    if (tasks_[t].lsh.dim() != ServiceTaskDim(*system_, t)) {
+      return Status::ParseError(
+          "paged store: LSH width disagrees with the system");
+    }
   }
 
   // HNSW graph sections are optional (pre-graph snapshots and the
@@ -422,56 +413,40 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
   // zero-copy borrowed, but a flipped bit is a ParseError here rather
   // than a corrupt walk at query time (adjacency, unlike embedding
   // payloads, steers pointer-shaped traversal).
-  const bool any_hnsw = reader.HasSection(prefix + "hnsw.tblmeta") ||
-                        reader.HasSection(prefix + "hnsw.tbl0") ||
-                        reader.HasSection(prefix + "hnsw.colmeta") ||
-                        reader.HasSection(prefix + "hnsw.col0") ||
-                        reader.HasSection(prefix + "hnsw.entmeta") ||
-                        reader.HasSection(prefix + "hnsw.ent0");
-  if (any_hnsw) {
-    auto restore_graph =
-        [&](const char* meta_name, const char* l0_name, int want_dim,
-            uint64_t want_nodes) -> Result<HnswIndex> {
-      TABBIN_ASSIGN_OR_RETURN(BinaryReader gmeta,
-                              reader.Section(prefix + meta_name));
-      TABBIN_ASSIGN_OR_RETURN(ByteSpan l0,
-                              reader.SectionSpan(prefix + l0_name));
-      TABBIN_ASSIGN_OR_RETURN(
-          HnswIndex graph,
-          HnswIndex::Restore(&gmeta, l0.data, l0.size, keepalive));
-      if (graph.dim() != want_dim) {
-        return Status::ParseError(
-            "paged store: hnsw graph width disagrees with the system");
-      }
-      if (graph.size() != want_nodes) {
-        return Status::ParseError(
-            "paged store: hnsw node count disagrees with its matrix");
-      }
-      return graph;
-    };
-    TABBIN_ASSIGN_OR_RETURN(
-        HnswIndex tbl_graph,
-        restore_graph("hnsw.tblmeta", "hnsw.tbl0", ServiceTableDim(*system_),
-                      tbl_d.rows));
-    TABBIN_ASSIGN_OR_RETURN(
-        HnswIndex col_graph,
-        restore_graph("hnsw.colmeta", "hnsw.col0",
-                      ServiceColumnDim(*system_), col_d.rows));
-    TABBIN_ASSIGN_OR_RETURN(
-        HnswIndex ent_graph,
-        restore_graph("hnsw.entmeta", "hnsw.ent0",
-                      ServiceEntityDim(*system_), ent_d.rows));
-    tbl_hnsw_ = std::make_unique<HnswIndex>(std::move(tbl_graph));
-    col_hnsw_ = std::make_unique<HnswIndex>(std::move(col_graph));
-    ent_hnsw_ = std::make_unique<HnswIndex>(std::move(ent_graph));
-    // The persisted graph re-engages the hnsw path and carries its own
-    // build parameters (they are part of the graph's identity; the
-    // constructor-time options were never serialized).
-    options_.index_kind = kIndexHnsw;
-    options_.hnsw_m = tbl_hnsw_->options().m;
-    options_.hnsw_ef_construction = tbl_hnsw_->options().ef_construction;
+  bool any_hnsw = false;
+  for (const char* stem : kStem) {
+    const std::string name = prefix + "hnsw." + stem;
+    any_hnsw = any_hnsw || reader.HasSection(name + "meta") ||
+               reader.HasSection(name + "0");
   }
-
+  if (!any_hnsw) {
+    store_keepalive_ = std::move(keepalive);
+    return Status::OK();
+  }
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    const std::string name = prefix + "hnsw." + kStem[t];
+    TABBIN_ASSIGN_OR_RETURN(BinaryReader gmeta, reader.Section(name + "meta"));
+    TABBIN_ASSIGN_OR_RETURN(ByteSpan l0, reader.SectionSpan(name + "0"));
+    TABBIN_ASSIGN_OR_RETURN(
+        HnswIndex graph,
+        HnswIndex::Restore(&gmeta, l0.data, l0.size, keepalive));
+    if (graph.dim() != ServiceTaskDim(*system_, t)) {
+      return Status::ParseError(
+          "paged store: hnsw graph width disagrees with the system");
+    }
+    if (graph.size() != dims[t].rows) {
+      return Status::ParseError(
+          "paged store: hnsw node count disagrees with its matrix");
+    }
+    tasks_[t].hnsw = std::make_unique<HnswIndex>(std::move(graph));
+  }
+  // The persisted graph re-engages the hnsw path and carries its own
+  // build parameters (they are part of the graph's identity; the
+  // constructor-time options were never serialized).
+  options_.index_kind = kIndexHnsw;
+  options_.hnsw_m = tasks_[kTaskTable].hnsw->options().m;
+  options_.hnsw_ef_construction =
+      tasks_[kTaskTable].hnsw->options().ef_construction;
   store_keepalive_ = std::move(keepalive);
   return Status::OK();
 }

@@ -1,26 +1,101 @@
 #include "service/sharded_service.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <future>
+#include <map>
 #include <utility>
 
 #include "store/paged_snapshot.h"
 #include "store/snapshot_bridge.h"
+#include "text/wordpiece.h"
 #include "util/logging.h"
+#include "util/threadpool.h"
 
 namespace tabbin {
 
+struct TabBinService::Query {
+  Query(const ColumnQueryRequest& req)
+      : task(kTaskColumn), table_id(&req.table_id), table(req.table),
+        col(req.col), k(req.k) {}
+  Query(const TableQueryRequest& req)
+      : task(kTaskTable), table_id(&req.table_id), table(req.table),
+        k(req.k) {}
+  Query(const EntityQueryRequest& req)
+      : task(kTaskEntity), table_id(&req.table_id), table(req.table),
+        row(req.row), col(req.col), k(req.k) {}
+
+  ServiceTask task;
+  const std::string* table_id;
+  const Table* table;  // overrides table_id when set
+  // The query cell, -1 where the task has none; it is also the cell the
+  // id-addressed query excludes from its own answers.
+  int row = -1;
+  int col = -1;
+  int k;
+};
+
+struct TabBinService::Plan {
+  std::vector<float> qvec;
+  std::vector<uint64_t> keys;
+  std::string exclude_id;  // empty for inline queries
+};
+
+namespace {
+
+// Indexed by ServiceTask.
+constexpr const char* kEndpoint[kNumServiceTasks] = {
+    "SimilarTables", "SimilarColumns", "SimilarEntities"};
+
+// A free-text question enters the embedding space as a minimal table:
+// the question is both caption and single data cell, so TableComposite1
+// places it where topically similar tables live.
+Table QuestionTable(const std::string& question) {
+  Table t(1, 1, /*hmd_rows=*/0, /*vmd_cols=*/0);
+  t.SetValue(0, 0, Value::String(question));
+  t.set_caption(question);
+  return t;
+}
+
+// Merges per-shard ranked contributions into the global top-k. Each
+// shard list is already capped at k and ordered by ServiceMatchOrder;
+// the global top-k is a subset of the union (any globally top-k item
+// ranks top-k within its shard), so a sort+truncate over <= k*N items
+// reproduces the single-index ranking exactly.
+QueryResponse MergeMatchSets(std::vector<ServiceShard::MatchSet> partials,
+                             int k) {
+  QueryResponse response;
+  size_t total = 0;
+  for (const auto& p : partials) {
+    response.candidates += p.candidates;
+    total += p.matches.size();
+  }
+  response.matches.reserve(total);
+  for (auto& p : partials) {
+    for (auto& m : p.matches) response.matches.push_back(std::move(m));
+  }
+  std::sort(response.matches.begin(), response.matches.end(),
+            ServiceMatchOrder);
+  if (static_cast<int>(response.matches.size()) > k) {
+    response.matches.resize(static_cast<size_t>(k));
+  }
+  return response;
+}
+
+}  // namespace
+
 TabBinService::TabBinService(std::shared_ptr<TabBiNSystem> system,
                              ServiceOptions options, int num_shards)
-    : system_(std::move(system)),
-      options_(options),
-      hashers_(*system_, options_) {
+    : system_(std::move(system)), options_(options) {
+  for (int t = 0; t < kNumServiceTasks; ++t) {
+    hashers_.emplace_back(ServiceTaskDim(*system_, t), options_.lsh_bits,
+                          options_.lsh_tables, options_.lsh_seed);
+  }
   const size_t n = static_cast<size_t>(std::clamp(num_shards, 1, kMaxShards));
   shards_.reserve(n);
-  shard_view_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(
         std::make_unique<ServiceShard>(system_.get(), options_));
-    shard_view_.push_back(shards_.back().get());
   }
   // Auto mode starts small; AddTables reserves capacity for the whole
   // corpus as it grows.
@@ -30,17 +105,104 @@ TabBinService::TabBinService(std::shared_ptr<TabBiNSystem> system,
   engine_ = std::make_unique<EncoderEngine>(system_.get(), capacity);
 }
 
+template <typename Fn>
+void TabBinService::ForEachShard(const Fn& fn) const {
+  // Inline on a single shard or a single-core pool (per-shard ranking is
+  // cheap; submit/join would only serialize queries behind the one
+  // worker), and inline when called FROM a pool worker: submitting
+  // shard chunks back into the same global pool and blocking on their
+  // futures wedges permanently once every worker is blocked in exactly
+  // this spot. fn writes only to its own slot of any result vector, so
+  // no synchronization is needed beyond the join.
+  const size_t n = shards_.size();
+  if (n <= 1 || ThreadPool::Global().num_threads() <= 1 ||
+      ThreadPool::InPoolWorker()) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(n - 1);
+  for (size_t i = 1; i < n; ++i) {
+    futures.push_back(ThreadPool::Global().Submit([&fn, i] { fn(i); }));
+  }
+  fn(0);
+  for (auto& f : futures) f.get();
+}
+
 // --- Corpus updates -------------------------------------------------------
 
 Result<AddReport> TabBinService::AddTables(const std::vector<Table>& tables) {
-  return ScatterAddTables(core(), tables);
+  AddReport report;
+  if (tables.empty()) return report;
+
+  std::vector<std::string> ids;
+  ids.reserve(tables.size());
+  for (const Table& t : tables) {
+    Status st = t.Validate();
+    if (!st.ok()) {
+      return Status::InvalidArgument("AddTables: table '" + t.id() +
+                                     "': " + st.message());
+    }
+    ids.push_back(CanonicalTableId(t));
+  }
+
+  // Encode the batch before any shard lock is taken: forward passes are
+  // the expensive part and the engine has its own synchronization, so
+  // readers keep being served while new tables encode. Embeddings are
+  // derived outside the locks too; each shard's writer critical section
+  // is appends and index inserts only.
+  auto encodings = engine_->EncodeBatch(tables);
+  std::vector<ServiceShard::PreparedTable> prepared;
+  prepared.reserve(tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    TABBIN_ASSIGN_OR_RETURN(
+        ServiceShard::PreparedTable p,
+        ServiceShard::Prepare(*system_, options_, tables[i], *encodings[i]));
+    prepared.push_back(std::move(p));
+  }
+
+  if (options_.encoder_cache_capacity == 0) {
+    // Documented auto mode: the cache grows with the corpus so steady-
+    // state queries never re-run forward passes.
+    size_t slots = 0;
+    for (const auto& shard : shards_) slots += shard->slot_count();
+    engine_->Reserve(slots + tables.size());
+  }
+
+  // Group by owning shard, preserving batch order within each group so
+  // same-id replacement semantics inside one batch are unchanged.
+  const size_t n = shards_.size();
+  std::vector<std::vector<Table>> shard_tables(n);
+  std::vector<std::vector<std::string>> shard_ids(n);
+  std::vector<std::vector<ServiceShard::PreparedTable>> shard_prepared(n);
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const size_t s = ShardIndexFor(ids[i], n);
+    shard_tables[s].push_back(tables[i]);
+    shard_ids[s].push_back(std::move(ids[i]));
+    shard_prepared[s].push_back(std::move(prepared[i]));
+  }
+  // Per-shard inserts are cheap memory operations; run them serially so
+  // the report needs no synchronization. Each shard's batch is applied
+  // atomically under that shard's writer lock; cross-shard visibility
+  // is per-shard (a reader may observe shard A's half of a batch before
+  // shard B's).
+  for (size_t s = 0; s < n; ++s) {
+    if (shard_tables[s].empty()) continue;
+    shards_[s]->InsertBatch(std::move(shard_tables[s]),
+                            std::move(shard_ids[s]),
+                            std::move(shard_prepared[s]), &report);
+  }
+  return report;
 }
 
 Status TabBinService::RemoveTable(const std::string& id) {
-  return ScatterRemoveTable(core(), id);
+  return shards_[ShardIndexFor(id, shards_.size())]->Remove(id);
 }
 
-Status TabBinService::Compact() { return ScatterCompact(core()); }
+Status TabBinService::Compact() {
+  for (auto& shard : shards_) TABBIN_RETURN_IF_ERROR(shard->Compact());
+  return Status::OK();
+}
 
 void TabBinService::SetQuantizedScan(bool on, int shortlist_multiplier) {
   options_.quantized_scan = on;
@@ -60,54 +222,223 @@ void TabBinService::SetIndexKind(IndexKind kind, int ef_search) {
 
 // --- Queries --------------------------------------------------------------
 
+std::vector<float> TabBinService::Embed(ServiceTask task, const Table& table,
+                                        int row, int col) const {
+  auto enc = engine_->Encode(table);
+  switch (task) {
+    case kTaskColumn:
+      return system_->ColumnComposite(*enc, col);
+    case kTaskEntity:
+      return system_->EntityEmbedding(*enc, row, col);
+    default:
+      return system_->TableComposite1(*enc);
+  }
+}
+
+Result<TabBinService::Plan> TabBinService::PlanQuery(
+    const Query& query) const {
+  if (query.k <= 0) {
+    return Status::InvalidArgument(std::string(kEndpoint[query.task]) +
+                                   ": k <= 0");
+  }
+  Plan plan;
+  if (query.table != nullptr) {
+    Status st = query.table->Validate();
+    if (!st.ok()) {
+      return Status::InvalidArgument("query table invalid: " + st.message());
+    }
+    TABBIN_RETURN_IF_ERROR(CheckQueryCell(query.task, query.table->rows(),
+                                          query.table->cols(), query.row,
+                                          query.col));
+    // Inline query tables encode before any lock is taken: forward
+    // passes must never stall writers behind a held reader lock.
+    plan.qvec = Embed(query.task, *query.table, query.row, query.col);
+  } else {
+    const std::string& id = *query.table_id;
+    plan.exclude_id = id;
+    TABBIN_ASSIGN_OR_RETURN(
+        ServiceShard::Resolved r,
+        shards_[ShardIndexFor(id, shards_.size())]->Resolve(
+            query.task, id, query.row, query.col));
+    plan.qvec = r.needs_encode
+                    ? Embed(query.task, r.table_copy, query.row, query.col)
+                    : std::move(r.vec);
+  }
+  plan.keys = hashers_[query.task].QueryKeys(plan.qvec);
+  return plan;
+}
+
+std::vector<Result<QueryResponse>> TabBinService::RankBatch(
+    const std::vector<Query>& queries) const {
+  std::vector<Result<Plan>> plans;
+  plans.reserve(queries.size());
+  for (const Query& query : queries) plans.push_back(PlanQuery(query));
+  // Probes point into `plans`, which is fully built (and never resized
+  // again) before the first pointer is taken.
+  std::vector<ServiceShard::Probe> probes;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!plans[i].ok()) continue;
+    const Plan& plan = plans[i].value();
+    const Query& query = queries[i];
+    probes.push_back({query.task, plan.qvec, &plan.keys, query.k,
+                      &plan.exclude_id, query.row, query.col});
+  }
+  std::vector<std::vector<ServiceShard::MatchSet>> per_shard(shards_.size());
+  ForEachShard([&](size_t s) { per_shard[s] = shards_[s]->Rank(probes); });
+  std::vector<Result<QueryResponse>> out;
+  out.reserve(queries.size());
+  size_t vi = 0;  // position within the planned (probe) subsequence
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!plans[i].ok()) {
+      out.push_back(plans[i].status());
+      continue;
+    }
+    std::vector<ServiceShard::MatchSet> partials;
+    partials.reserve(shards_.size());
+    for (auto& shard_sets : per_shard) {
+      partials.push_back(std::move(shard_sets[vi]));
+    }
+    out.push_back(MergeMatchSets(std::move(partials), queries[i].k));
+    ++vi;
+  }
+  return out;
+}
+
 Result<QueryResponse> TabBinService::SimilarColumns(
     const ColumnQueryRequest& req) const {
-  return ScatterSimilarColumns(core(), req);
+  return std::move(RankBatch({req}).front());
 }
 
 Result<QueryResponse> TabBinService::SimilarTables(
     const TableQueryRequest& req) const {
-  return ScatterSimilarTables(core(), req);
+  return std::move(RankBatch({req}).front());
 }
 
 Result<QueryResponse> TabBinService::SimilarEntities(
     const EntityQueryRequest& req) const {
-  return ScatterSimilarEntities(core(), req);
+  return std::move(RankBatch({req}).front());
 }
 
 std::vector<Result<QueryResponse>> TabBinService::SimilarColumnsBatch(
     const std::vector<ColumnQueryRequest>& reqs) const {
-  return ScatterSimilarColumnsBatch(core(), reqs);
+  return RankBatch({reqs.begin(), reqs.end()});
 }
 
 std::vector<Result<QueryResponse>> TabBinService::SimilarTablesBatch(
     const std::vector<TableQueryRequest>& reqs) const {
-  return ScatterSimilarTablesBatch(core(), reqs);
+  return RankBatch({reqs.begin(), reqs.end()});
 }
 
 std::vector<Result<QueryResponse>> TabBinService::SimilarEntitiesBatch(
     const std::vector<EntityQueryRequest>& reqs) const {
-  return ScatterSimilarEntitiesBatch(core(), reqs);
+  return RankBatch({reqs.begin(), reqs.end()});
 }
 
 Result<AskResponse> TabBinService::Ask(const AskRequest& req) const {
-  return ScatterAsk(core(), req);
+  if (req.question.empty()) {
+    return Status::InvalidArgument("Ask: empty question");
+  }
+  if (req.k <= 0) return Status::InvalidArgument("Ask: k <= 0");
+  // Bound k before the 3 * k pool sizing below: CLI-supplied values near
+  // INT_MAX must clamp, not overflow.
+  const int k = std::min(req.k, 1 << 20);
+  const int pool = 3 * k;
+
+  // The question embeds as a one-cell table; EncodeAll is inference-only
+  // and thread-safe, and runs before any lock so it never stalls
+  // writers. Deliberately bypasses the engine cache so ad-hoc questions
+  // never evict corpus encodings.
+  const Table pseudo = QuestionTable(req.question);
+  const std::vector<float> qvec =
+      system_->TableComposite1(system_->EncodeAll(pseudo));
+
+  // Sorted distinct query terms: the lexical scores sum term
+  // contributions in one fixed order, so every shard — and the
+  // single-shard service — computes bit-identical scores.
+  std::vector<std::string> terms = PreTokenize(req.question);
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+
+  const std::vector<uint64_t> keys = hashers_[kTaskTable].QueryKeys(qvec);
+  const std::string no_exclusion;
+  const ServiceShard::Probe dense{kTaskTable, qvec, &keys, pool,
+                                  &no_exclusion};
+  std::vector<ServiceShard::AskPartial> partials(shards_.size());
+  ForEachShard([&](size_t i) {
+    partials[i] = shards_[i]->AskCandidates(terms, dense);
+  });
+
+  AskResponse response;
+  size_t total_live = 0;
+  for (const auto& p : partials) total_live += p.live;
+  if (total_live == 0) {
+    response.answer = "no tables indexed";
+    return response;
+  }
+
+  // Global lexical top-pool: each shard already returned its own
+  // top-pool by the doc-local score, so sorting the union and
+  // truncating reproduces the single-index lexical cut exactly.
+  std::vector<ServiceShard::LexicalHit> lexical;
+  for (auto& p : partials) {
+    for (auto& hit : p.lexical) lexical.push_back(std::move(hit));
+  }
+  std::sort(lexical.begin(), lexical.end(),
+            [](const ServiceShard::LexicalHit& a,
+               const ServiceShard::LexicalHit& b) {
+              if (a.lex != b.lex) return a.lex > b.lex;
+              return a.match.table_id < b.match.table_id;
+            });
+  if (static_cast<int>(lexical.size()) > pool) {
+    lexical.resize(static_cast<size_t>(pool));
+  }
+
+  // Candidate pool: lexical cut ∪ dense top-pool, deduplicated by table
+  // id, then exact cosine ranking — the same lexical ∪ dense recipe the
+  // Table 14 grounding uses.
+  std::map<std::string, ServiceMatch> pool_map;
+  for (auto& hit : lexical) {
+    pool_map.emplace(hit.match.table_id, std::move(hit.match));
+  }
+  for (auto& p : partials) {
+    for (auto& m : p.dense) {
+      pool_map.emplace(m.table_id, std::move(m));
+    }
+  }
+  response.tables.reserve(pool_map.size());
+  for (auto& [id, m] : pool_map) response.tables.push_back(std::move(m));
+  std::sort(response.tables.begin(), response.tables.end(),
+            ServiceMatchOrder);
+  if (static_cast<int>(response.tables.size()) > k) {
+    response.tables.resize(static_cast<size_t>(k));
+  }
+
+  if (response.tables.empty()) {
+    response.answer = "no grounding found for the question";
+  } else {
+    const ServiceMatch& top = response.tables.front();
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " (score %.3f)", top.score);
+    response.answer = "grounded in table '" + top.caption + "' [" +
+                      top.table_id + "]" + buf;
+  }
+  return response;
 }
 
 // --- Embedding accessors --------------------------------------------------
 
 std::vector<float> TabBinService::ColumnEmbedding(const Table& table,
                                                   int col) const {
-  return ServingColumnEmbedding(core(), table, col);
+  return Embed(kTaskColumn, table, -1, col);
 }
 
 std::vector<float> TabBinService::TableEmbedding(const Table& table) const {
-  return ServingTableEmbedding(core(), table);
+  return Embed(kTaskTable, table, -1, -1);
 }
 
 std::vector<float> TabBinService::EntityEmbedding(const Table& table, int row,
                                                   int col) const {
-  return ServingEntityEmbedding(core(), table, row, col);
+  return Embed(kTaskEntity, table, row, col);
 }
 
 // --- Introspection --------------------------------------------------------
@@ -120,13 +451,13 @@ size_t TabBinService::NumLiveTables() const {
 
 size_t TabBinService::NumIndexedColumns() const {
   size_t n = 0;
-  for (const auto& shard : shards_) n += shard->indexed_columns();
+  for (const auto& shard : shards_) n += shard->indexed_rows(kTaskColumn);
   return n;
 }
 
 size_t TabBinService::NumIndexedEntities() const {
   size_t n = 0;
-  for (const auto& shard : shards_) n += shard->indexed_entities();
+  for (const auto& shard : shards_) n += shard->indexed_rows(kTaskEntity);
   return n;
 }
 

@@ -194,10 +194,38 @@ class TabBinService : public TabBinServing {
   bool IsMapped() const;
 
  private:
-  ServingCore core() const {
-    return ServingCore{system_.get(), engine_.get(), &options_, &hashers_,
-                       &shard_view_};
-  }
+  // The scatter-gather coordinator. Id-addressed queries route to the
+  // owning shard (ShardIndexFor); ad-hoc inputs encode outside every
+  // lock; ranking fans out across the shards (ForEachShard) and merges
+  // with the partition-independent ServiceMatchOrder.
+
+  // One similarity request of any task (defined in the .cc).
+  struct Query;
+  // A query after planning: its vector, LSH keys and excluded id.
+  struct Plan;
+
+  /// \brief The engine-cached embedding a task's index holds for cell
+  /// (row, col) of `table` (-1 where the task has no row / col).
+  std::vector<float> Embed(ServiceTask task, const Table& table, int row,
+                           int col) const;
+
+  /// \brief Validates a query, produces its vector (inline encode or
+  /// stored-row resolve) and hashes it ONCE — all outside every lock.
+  Result<Plan> PlanQuery(const Query& query) const;
+
+  /// \brief Plans every query, ranks the planned ones under ONE reader-
+  /// lock hold per shard, and merges per query. A query that fails
+  /// planning gets its own error without failing the rest; a single
+  /// Similar* call is a batch of one, so out[i] is byte-identical to
+  /// the sequential answer by construction.
+  std::vector<Result<QueryResponse>> RankBatch(
+      const std::vector<Query>& queries) const;
+
+  /// \brief Runs fn(i) for every shard index: shards 1..N-1 on
+  /// ThreadPool::Global() and shard 0 inline when there is parallelism
+  /// to use, all inline otherwise; joins before returning.
+  template <typename Fn>
+  void ForEachShard(const Fn& fn) const;
 
   std::shared_ptr<TabBiNSystem> system_;
   std::unique_ptr<EncoderEngine> engine_;
@@ -208,9 +236,11 @@ class TabBinService : public TabBinServing {
   // the caller's thread; the copies queries actually consult are the
   // per-shard ones, which ARE guarded (ServiceShard::options_).
   ServiceOptions options_;
-  QueryHashers hashers_;
+  // Per-task query hashers (indexed by ServiceTask) with the geometry
+  // and seed of every shard's LSH indexes. Immutable after
+  // construction, so each query vector is hashed once, lock-free.
+  std::vector<LshIndex> hashers_;
   std::vector<std::unique_ptr<ServiceShard>> shards_;
-  std::vector<ServiceShard*> shard_view_;
 };
 
 /// \brief Factory for the `--shards=N` knob: a TabBinService over

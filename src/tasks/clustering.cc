@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "tensor/kernels.h"
+#include "util/top_k.h"
 
 namespace tabbin {
 
@@ -12,22 +13,24 @@ namespace {
 
 // (score desc, index asc) — a strict total order over distinct items,
 // identical to the old stable_sort on score alone (rows were always
-// appended in ascending index order), which is what makes nth_element
-// top-k selection equal full-sort-then-truncate byte for byte.
+// appended in ascending index order), which is what makes the bounded
+// SelectTopK cut equal full-sort-then-truncate byte for byte.
 bool RankedOrder(const RankedItem& a, const RankedItem& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.index < b.index;
 }
 
 // Sorts `ranked` by RankedOrder, keeping only the top-k prefix when
-// top_k >= 0 (nth_element selection — candidate sets can be 100x k).
+// top_k >= 0 (a size-k heap — candidate sets can be 100x k).
 void SelectTopRanked(std::vector<RankedItem>* ranked, int top_k) {
-  if (top_k >= 0 && static_cast<size_t>(top_k) < ranked->size()) {
-    std::nth_element(ranked->begin(), ranked->begin() + top_k,
-                     ranked->end(), RankedOrder);
-    ranked->resize(static_cast<size_t>(top_k));
+  const size_t k = top_k >= 0 ? static_cast<size_t>(top_k) : ranked->size();
+  std::vector<RankedItem> top;
+  for (size_t i : SelectTopK(ranked->size(), k, [&](size_t a, size_t b) {
+         return RankedOrder((*ranked)[a], (*ranked)[b]);
+       })) {
+    top.push_back((*ranked)[i]);
   }
-  std::sort(ranked->begin(), ranked->end(), RankedOrder);
+  *ranked = std::move(top);
 }
 
 // One batched norm-cached cosine pass of `query` (with inverse norm
@@ -58,15 +61,14 @@ void QuantizedShortlist(const LabeledEmbeddingSet& items, VecView query,
   std::vector<float> approx(rows->size());
   QuantizedCosineRows(items.matrix(), qq, rows->data(), rows->size(),
                       approx.data());
-  std::vector<size_t> order(rows->size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::nth_element(order.begin(), order.begin() + shortlist, order.end(),
-                   [&](size_t a, size_t b) {
-                     if (approx[a] != approx[b]) return approx[a] > approx[b];
-                     return (*rows)[a] < (*rows)[b];
-                   });
-  std::vector<int> kept(shortlist);
-  for (size_t i = 0; i < shortlist; ++i) kept[i] = (*rows)[order[i]];
+  std::vector<int> kept;
+  kept.reserve(shortlist);
+  for (size_t i : SelectTopK(rows->size(), shortlist, [&](size_t a, size_t b) {
+         if (approx[a] != approx[b]) return approx[a] > approx[b];
+         return (*rows)[a] < (*rows)[b];
+       })) {
+    kept.push_back((*rows)[i]);
+  }
   *rows = std::move(kept);
 }
 
@@ -158,7 +160,7 @@ ClusterEvalResult EvaluateClustering(const LabeledEmbeddingSet& items,
       }
     }
     // Only the top-k prefix is retrieved: AP@k and RR@k never read past
-    // rank k, and nth_element selection is far cheaper than sorting a
+    // rank k, and a size-k heap cut is far cheaper than sorting a
     // candidate block 100x the cluster size.
     auto ranked =
         RankBySimilarity(items, q, cand_ptr, options.k, options.quantized_scan,

@@ -62,7 +62,7 @@ struct RankedItem {
 /// the query, descending (ties by ascending index); restricted to
 /// `candidates` when non-null. Scores come from one batched norm-cached
 /// kernel pass over the item matrix. When `top_k >= 0` only the top-k
-/// prefix is returned — selected with nth_element, byte-identical to
+/// prefix is returned — selected with SelectTopK, byte-identical to
 /// truncating the full ranking (the (score, index) order is total).
 /// With `quantized_scan` (and top_k >= 0, and the item set's sidecar
 /// enabled via EnableQuantizedScan), an int8 approximate pass cuts the

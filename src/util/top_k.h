@@ -1,6 +1,7 @@
-// Bounded top-k selection shared by every ranking cut in the serving
-// shard: candidate pools can be hundreds of times k, so the cut keeps a
-// size-k heap instead of ordering the whole pool.
+// Bounded top-k selection shared by every ranking cut: the serving
+// shard, the clustering evaluation and the RAG dense retriever.
+// Candidate pools can be hundreds of times k, so the cut keeps a size-k
+// heap instead of ordering the whole pool.
 #ifndef TABBIN_UTIL_TOP_K_H_
 #define TABBIN_UTIL_TOP_K_H_
 

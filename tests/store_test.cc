@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -827,6 +829,123 @@ TEST_F(ShardedStoreCorruptionTest, LshBucketIdOutOfRangeRejected) {
             std::string::npos)
       << serving.status().ToString();
   ExpectParseError(corrupt, "lsh bucket id == count");
+}
+
+// Byte offsets inside shard 0's meta section, found by walking its
+// layout: per slot (id, live, caption, grid rows/cols, tbl_row,
+// col_begin, col_end, ent_begin, ent_end, json off/len, live doc terms),
+// then the column refs as (slot, col) pairs.
+struct ShardMetaLayout {
+  size_t slots = 0;
+  size_t slot0_tbl_row = 0;   // offset of slot 0's tbl_row
+  int slot0_col_begin = -1;   // slot 0's first column row
+  size_t col_refs = 0;        // offset of column ref 0
+};
+
+ShardMetaLayout WalkShardMeta(const std::vector<uint8_t>& bytes) {
+  ShardMetaLayout out;
+  BinaryReader r(bytes);
+  const auto at = [&] { return bytes.size() - r.remaining(); };
+  out.slots = r.ReadU64().value();
+  for (size_t i = 0; i < out.slots; ++i) {
+    EXPECT_TRUE(r.ReadString().ok());
+    const int32_t live = r.ReadI32().value();
+    EXPECT_TRUE(r.ReadString().ok());
+    EXPECT_TRUE(r.ReadI32().ok() && r.ReadI32().ok());
+    if (i == 0) out.slot0_tbl_row = at();
+    EXPECT_TRUE(r.ReadI32().ok());
+    const int32_t col_begin = r.ReadI32().value();
+    if (i == 0) out.slot0_col_begin = col_begin;
+    for (int f = 0; f < 3; ++f) EXPECT_TRUE(r.ReadI32().ok());
+    EXPECT_TRUE(r.ReadU64().ok() && r.ReadU64().ok());
+    if (live != 0) {
+      const uint64_t terms = r.ReadU64().value();
+      for (uint64_t t = 0; t < terms; ++t) {
+        EXPECT_TRUE(r.ReadString().ok() && r.ReadI32().ok());
+      }
+    }
+  }
+  EXPECT_TRUE(r.ReadU64().ok());  // column ref count
+  out.col_refs = at();
+  return out;
+}
+
+void PatchI32(std::vector<uint8_t>* bytes, size_t off, int32_t v) {
+  std::memcpy(bytes->data() + off, &v, sizeof(v));
+}
+
+StoreSection* FindSection(StoreSections* sections, const std::string& name) {
+  for (StoreSection& sec : *sections) {
+    if (sec.name == name) return &sec;
+  }
+  return nullptr;
+}
+
+// Slot i owns table row i: a live slot claiming no table row would send
+// ResolveTable and the Ask lexical stage to row -1 of the table matrix.
+TEST_F(ShardedStoreCorruptionTest, LiveSlotWithoutTableRowRejected) {
+  auto corrupt = sections_;
+  StoreSection* meta = FindSection(&corrupt, StoreShardPrefix(0) + "meta");
+  ASSERT_NE(meta, nullptr);
+  const ShardMetaLayout layout = WalkShardMeta(meta->bytes);
+  ASSERT_GT(layout.slots, 0u);
+  PatchI32(&meta->bytes, layout.slot0_tbl_row, -1);
+  ExpectParseError(corrupt, "live slot 0 with tbl_row -1");
+}
+
+// Every column ref inside a slot's range must name that slot; one that
+// names another slot would answer for the wrong table.
+TEST_F(ShardedStoreCorruptionTest, ColumnRefNamingAnotherSlotRejected) {
+  auto corrupt = sections_;
+  StoreSection* meta = FindSection(&corrupt, StoreShardPrefix(0) + "meta");
+  ASSERT_NE(meta, nullptr);
+  const ShardMetaLayout layout = WalkShardMeta(meta->bytes);
+  ASSERT_GE(layout.slots, 2u);
+  ASSERT_GE(layout.slot0_col_begin, 0);
+  // Column refs are (slot i32, col i32) pairs.
+  PatchI32(&meta->bytes,
+           layout.col_refs + 8 * static_cast<size_t>(layout.slot0_col_begin),
+           1);
+  ExpectParseError(corrupt, "slot 0's column ref names slot 1");
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+// The store format is pinned by its own round trip: a mapped load saved
+// again writes the same bytes, section for section, at 1 and 3 shards,
+// with tombstones, under LSH and under HNSW with the int8 scan on.
+TEST(StoreServingTest, MappedLoadResavesIdenticalBytes) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  for (int shards : {1, 3}) {
+    for (bool hnsw : {false, true}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) +
+                   (hnsw ? " hnsw+int8" : " lsh"));
+      TabBinService svc(SharedSystem(), {}, shards);
+      ASSERT_TRUE(svc.AddTables(tables).ok());
+      ASSERT_TRUE(svc.RemoveTable(tables[2].id()).ok());
+      ASSERT_TRUE(svc.AddTables({tables[6]}).ok());  // replaced: tombstone
+      if (hnsw) {
+        svc.SetIndexKind(kIndexHnsw);
+        svc.SetQuantizedScan(true, 4);
+      }
+      const std::string first = "/tmp/tabbin_store_resave_a.tbsn";
+      const std::string second = "/tmp/tabbin_store_resave_b.tbsn";
+      ASSERT_TRUE(svc.Save(first).ok());
+      auto mapped = TabBinService::Load(first);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      EXPECT_TRUE(mapped.value()->IsMapped());
+      ASSERT_TRUE(mapped.value()->Save(second).ok());
+      const std::vector<uint8_t> a = FileBytes(first);
+      const std::vector<uint8_t> b = FileBytes(second);
+      ASSERT_FALSE(a.empty());
+      EXPECT_TRUE(a == b) << "re-saved store differs (" << a.size() << " vs "
+                          << b.size() << " bytes)";
+    }
+  }
 }
 
 // The removed single-shard service wrote 0 in the meta word that
