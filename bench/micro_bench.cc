@@ -21,6 +21,7 @@
 #include "tasks/clustering.h"
 #include "tasks/lsh.h"
 #include "tensor/kernels.h"
+#include "tensor/nn.h"
 #include "tensor/ops.h"
 #include "text/wordpiece.h"
 #include "util/threadpool.h"
@@ -434,10 +435,15 @@ void BM_QuantizedScan(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizedScan);
 
-// The blocked GEMM micro-kernel at encoder-forward shape
-// ([seq, hidden] x [hidden, hidden]).
+// The blocked GEMM micro-kernel at the encoder's shapes, n x k x m for
+// a 96-token segment at the serving geometry (hidden 36, 2 heads of 18,
+// intermediate 72): Q/K/V/O projections 96x36x36, attention scores
+// 96x18x96, attention x V 96x96x18, FFN 96x36x72 and 96x72x36, plus the
+// older 96x72x72 row.
 void BM_KernelGemm(benchmark::State& state) {
-  const int n = 96, k = 72, m = 72;
+  const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int m = static_cast<int>(state.range(2));
   Rng rng(8);
   std::vector<float> a(static_cast<size_t>(n) * k);
   std::vector<float> b(static_cast<size_t>(k) * m);
@@ -448,12 +454,61 @@ void BM_KernelGemm(benchmark::State& state) {
     std::fill(c.begin(), c.end(), 0.0f);
     kernels::Gemm(a.data(), b.data(), c.data(), n, k, m);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 *
                           static_cast<int64_t>(n) * k * m);  // FLOPs
   state.SetLabel(std::string("dispatch=") + kernels::ActiveName());
 }
-BENCHMARK(BM_KernelGemm);
+BENCHMARK(BM_KernelGemm)
+    ->ArgNames({"n", "k", "m"})
+    ->Args({96, 72, 72})
+    ->Args({96, 36, 36})
+    ->Args({96, 18, 96})
+    ->Args({96, 96, 18})
+    ->Args({96, 36, 72})
+    ->Args({96, 72, 36});
+
+// One encoder layer at the serving geometry on a 96-token segment with
+// its visibility bias: the tape-free inference forward (tape=0) next to
+// the autograd ops it reproduces bit for bit (tape=1, run under a
+// NoGradGuard as inference ran before the tape-free path existed).
+void BM_EncoderLayerForward(benchmark::State& state) {
+  const bool tape = state.range(0) != 0;
+  const int n = 96, hidden = 36;
+  TabBiNSystem& sys = SharedSystem();
+  EncodedSequence seq;
+  for (const Table& t : SharedCorpus().corpus.tables) {
+    EncodedSequence s = BuildSequence(t, TabBiNVariant::kDataRow, sys.vocab(),
+                                      *sys.typer(), sys.config());
+    seq.tokens.insert(seq.tokens.end(), s.tokens.begin(), s.tokens.end());
+    if (seq.size() >= n) break;
+  }
+  seq.tokens.resize(static_cast<size_t>(n));
+  std::vector<float> bias(static_cast<size_t>(n) * n);
+  BuildSequenceVisibility(seq).FillAttentionBias(bias.data());
+  const Tensor bias_t = Tensor::FromData({n, n}, bias);
+  Rng rng(3);
+  TransformerEncoderLayer layer(hidden, 2, 72, &rng);
+  std::vector<float> x0(static_cast<size_t>(n) * hidden);
+  for (auto& x : x0) x = static_cast<float>(rng.Gaussian());
+  std::vector<float> x(x0.size());
+  InferenceWorkspace& ws = InferenceWorkspace::ForThisThread();
+  NoGradGuard guard;
+  for (auto _ : state) {
+    if (tape) {
+      Tensor out = layer.Forward(Tensor::FromData({n, hidden}, x0), &bias_t,
+                                 0.0f, nullptr, /*training=*/false);
+      benchmark::DoNotOptimize(out.data());
+    } else {
+      x = x0;
+      layer.ForwardInference(x.data(), n, bias.data(), &ws);
+      benchmark::DoNotOptimize(x.data());
+      benchmark::ClobberMemory();
+    }
+  }
+}
+BENCHMARK(BM_EncoderLayerForward)->ArgName("tape")->Arg(0)->Arg(1);
 
 void BM_LshQuery(benchmark::State& state) {
   const int dim = 72;

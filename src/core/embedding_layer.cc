@@ -1,5 +1,8 @@
 #include "core/embedding_layer.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace tabbin {
 
 namespace {
@@ -109,6 +112,70 @@ Tensor TabBiNEmbeddingLayer::Forward(const EncodedSequence& seq) const {
   }
 
   return norm_->Forward(AddN(components));  // eq. 8 (+ stabilizing LN)
+}
+
+void TabBiNEmbeddingLayer::ForwardInference(const EncodedSequence& seq,
+                                            float* out,
+                                            InferenceWorkspace* ws) const {
+  const int n = seq.size();
+  const int h = config_.hidden;
+  std::fill(out, out + static_cast<size_t>(n) * h, 0.0f);
+  // Adds row `id` of `table` into token i's columns [offset, offset + dim):
+  // a whole component, or one slice of a concatenated one.
+  auto add = [&](const Embedding& table, int id, int i, int offset) {
+    const int d = table.dim();
+    const float* src = table.weight.data() + static_cast<size_t>(id) * d;
+    float* dst = out + static_cast<size_t>(i) * h + offset;
+    for (int c = 0; c < d; ++c) dst[c] += src[c];
+  };
+  const int features = config_.num_cell_features;
+  float* fmt_bits = nullptr;
+  if (config_.use_units_nesting) {
+    fmt_bits = InferenceWorkspace::Get(&ws->features,
+                                       static_cast<size_t>(n) * features);
+    std::fill(fmt_bits, fmt_bits + static_cast<size_t>(n) * features, 0.0f);
+  }
+  for (int i = 0; i < n; ++i) {
+    const TokenFeatures& t = seq.tokens[static_cast<size_t>(i)];
+    add(*tok_, t.token_id, i, 0);
+    int offset = 0;
+    for (const auto& [table, id] :
+         {std::make_pair(mag_.get(), t.magnitude),
+          std::make_pair(pre_.get(), t.precision),
+          std::make_pair(fst_.get(), t.first_digit),
+          std::make_pair(lst_.get(), t.last_digit)}) {
+      add(*table, std::max(id, 0), i, offset);
+      offset += table->dim();
+    }
+    add(*cpos_, t.cell_pos, i, 0);
+    if (config_.use_bidimensional_coords) {
+      offset = 0;
+      for (const auto& [table, id] : {std::make_pair(vr_.get(), t.vr),
+                                      std::make_pair(vc_.get(), t.vc),
+                                      std::make_pair(hr_.get(), t.hr),
+                                      std::make_pair(hc_.get(), t.hc),
+                                      std::make_pair(nr_.get(), t.nr),
+                                      std::make_pair(nc_.get(), t.nc)}) {
+        add(*table, id, i, offset);
+        offset += table->dim();
+      }
+    }
+    if (config_.use_type_inference) add(*type_, t.type_id, i, 0);
+    if (fmt_bits != nullptr) {
+      for (int b = 0; b < features; ++b) {
+        if (t.fmt_bits & (1u << b)) {
+          fmt_bits[static_cast<size_t>(i) * features + b] = 1.0f;
+        }
+      }
+    }
+  }
+  if (fmt_bits != nullptr) {
+    // E_fmt is the last addend of every element.
+    float* fmt = InferenceWorkspace::Get(&ws->ffn, static_cast<size_t>(n) * h);
+    fmt_->ForwardInference(fmt_bits, n, fmt, ws);
+    for (size_t e = 0; e < static_cast<size_t>(n) * h; ++e) out[e] += fmt[e];
+  }
+  norm_->ForwardInference(out, n);
 }
 
 void TabBiNEmbeddingLayer::CollectParameters(const std::string& prefix,

@@ -28,6 +28,12 @@ class TabBiNEmbeddingLayer : public Module {
   /// \brief Embeds a sequence into [n, hidden] activations.
   Tensor Forward(const EncodedSequence& seq) const;
 
+  /// \brief Tape-free Forward into out [n, hidden]: the components are
+  /// summed per element in Forward's order (AddN's zero start included)
+  /// and then layer-normalized, so the bits equal Forward's.
+  void ForwardInference(const EncodedSequence& seq, float* out,
+                        InferenceWorkspace* ws) const;
+
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;
 

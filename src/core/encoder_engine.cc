@@ -255,8 +255,10 @@ std::vector<std::shared_ptr<const TableEncodings>> EncoderEngine::EncodeBatch(
   std::vector<uint64_t> keys(n);
   std::vector<std::shared_ptr<const TableEncodings>> out(n);
 
-  // Fingerprinting is pure — keep it outside the cache lock.
-  for (size_t i = 0; i < n; ++i) keys[i] = TableFingerprint(*tables[i]);
+  // Fingerprinting is pure — keep it outside the cache lock, in the pool.
+  ParallelFor(
+      0, n, [&](size_t i) { keys[i] = TableFingerprint(*tables[i]); },
+      /*grain=*/32);
 
   // Resolve hits, join encodes already in flight on other threads, and
   // deduplicate misses (same table requested twice in one batch must

@@ -16,6 +16,20 @@ TabBiNModel::TabBiNModel(const TabBiNConfig& config, int vocab_size,
 
 Tensor TabBiNModel::Encode(const EncodedSequence& seq, bool training,
                            Rng* rng) const {
+  if (!training && !NoGradGuard::GradEnabled()) {
+    InferenceWorkspace& ws = InferenceWorkspace::ForThisThread();
+    const int n = seq.size();
+    std::vector<float> hidden(static_cast<size_t>(n) * config_.hidden);
+    embedding_->ForwardInference(seq, hidden.data(), &ws);
+    const float* bias = nullptr;
+    if (config_.use_visibility_matrix) {
+      float* b = InferenceWorkspace::Get(&ws.bias, static_cast<size_t>(n) * n);
+      BuildSequenceVisibility(seq).FillAttentionBias(b);
+      bias = b;
+    }
+    encoder_->ForwardInference(hidden.data(), n, bias, &ws);
+    return Tensor::FromData({n, config_.hidden}, std::move(hidden));
+  }
   Tensor x = embedding_->Forward(seq);
   Tensor bias;
   const Tensor* bias_ptr = nullptr;

@@ -23,6 +23,13 @@ class TabBiNModel : public Module {
   /// \brief Encodes a sequence to hidden states [n, hidden]. Applies the
   /// visibility matrix as the attention bias unless the TabBiN_1 ablation
   /// (use_visibility_matrix = false) is active.
+  ///
+  /// Without a tape (`training` false under a NoGradGuard) the embedding
+  /// layer and every encoder layer run tape-free on raw buffers in a
+  /// per-thread workspace (ForwardInference). That path performs the
+  /// tape's float operations in the tape's order, so its output equals
+  /// the recording path's bit for bit; the tape stays the reference and
+  /// the training path.
   Tensor Encode(const EncodedSequence& seq, bool training = false,
                 Rng* rng = nullptr) const;
 

@@ -167,13 +167,13 @@ ServiceShard::TaskIndex::TaskIndex(int dim, const ServiceOptions& options)
   }
 }
 
-Status ServiceShard::TaskIndex::Append(const std::vector<float>& vec,
-                                       Ref ref) {
-  vecs.AppendRow(vec);
-  refs.push_back(std::move(ref));
-  const int row = static_cast<int>(refs.size()) - 1;
-  TABBIN_RETURN_IF_ERROR(lsh.Insert(row, vec));
-  return hnsw ? hnsw->Insert(vecs, row) : Status::OK();
+Status ServiceShard::TaskIndex::Append(Row row) {
+  vecs.AppendRow(row.vec);
+  refs.push_back(std::move(row.ref));
+  const int id = static_cast<int>(refs.size()) - 1;
+  TABBIN_RETURN_IF_ERROR(row.keys.empty() ? lsh.Insert(id, row.vec)
+                                          : lsh.InsertKeys(id, row.keys));
+  return hnsw ? hnsw->Insert(vecs, id) : Status::OK();
 }
 
 std::vector<int> ServiceShard::TaskIndex::Candidates(
@@ -196,14 +196,16 @@ ServiceShard::ServiceShard(const TabBiNSystem* system,
              TaskIndex(ServiceTaskDim(*system, kTaskEntity), options_)} {}
 
 Result<ServiceShard::PreparedTable> ServiceShard::Prepare(
-    const TabBiNSystem& sys, const ServiceOptions& options, const Table& t,
+    const TabBiNSystem& sys, const ServiceOptions& options,
+    const std::vector<LshIndex>& hashers, const Table& t, std::string id,
     const TableEncodings& enc) {
   PreparedTable p;
-  p[kTaskTable].emplace_back(Ref{}, sys.TableComposite1(enc));
+  p.rows[kTaskTable].push_back({Ref{}, sys.TableComposite1(enc), {}});
   for (int c = t.vmd_cols(); c < t.cols(); ++c) {
     Ref ref;
     ref.col = c;
-    p[kTaskColumn].emplace_back(std::move(ref), sys.ColumnComposite(enc, c));
+    p.rows[kTaskColumn].push_back(
+        {std::move(ref), sys.ColumnComposite(enc, c), {}});
   }
   if (options.index_entities) {
     int budget = options.max_entities_per_table;
@@ -217,28 +219,31 @@ Result<ServiceShard::PreparedTable> ServiceShard::Prepare(
         ref.row = r;
         ref.col = c;
         ref.surface = cell.value.text();
-        p[kTaskEntity].emplace_back(std::move(ref),
-                                    sys.EntityEmbedding(enc, r, c));
+        p.rows[kTaskEntity].push_back(
+            {std::move(ref), sys.EntityEmbedding(enc, r, c), {}});
         --budget;
       }
     }
   }
   for (int task = 0; task < kNumServiceTasks; ++task) {
-    for (const auto& [ref, vec] : p[task]) {
-      if (static_cast<int>(vec.size()) != ServiceTaskDim(sys, task)) {
+    for (Row& row : p.rows[task]) {
+      if (static_cast<int>(row.vec.size()) != ServiceTaskDim(sys, task)) {
         return Status::Internal(std::string("AddTables: unexpected ") +
                                 kServiceTaskNames[task] +
                                 " embedding width");
       }
+      row.keys = hashers[static_cast<size_t>(task)].QueryKeys(row.vec);
     }
   }
+  p.table = t;
+  p.id = std::move(id);
+  p.doc_tf = ServiceDocTermFrequencies(p.table);
   return p;
 }
 
-void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
-                                        PreparedTable&& prepared,
+void ServiceShard::InsertPreparedLocked(PreparedTable&& prepared,
                                         AddReport* report) {
-  auto it = id_to_slot_.find(id);
+  auto it = id_to_slot_.find(prepared.id);
   if (it != id_to_slot_.end()) {
     TableSlot& old = slots_[static_cast<size_t>(it->second)];
     old.live = false;
@@ -251,45 +256,45 @@ void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
   const int slot = static_cast<int>(slots_.size());
   slots_.push_back(TableSlot{});
   TableSlot& s = slots_.back();
-  s.table = std::move(table);
+  s.table = std::move(prepared.table);
   s.caption = s.table.caption();
   s.grid_rows = s.table.rows();
   s.grid_cols = s.table.cols();
-  s.id = id;
-  s.doc_tf = ServiceDocTermFrequencies(s.table);
+  s.id = std::move(prepared.id);
+  s.doc_tf = std::move(prepared.doc_tf);
   for (const auto& [term, count] : s.doc_tf) {
     lex_postings_[term].push_back(slot);
   }
-  id_to_slot_[id] = slot;
+  id_to_slot_[s.id] = slot;
   ++live_count_;
 
   for (int t = 0; t < kNumServiceTasks; ++t) {
     TaskIndex& index = tasks_[t];
-    if (!prepared[t].empty()) {
+    std::vector<Row>& rows = prepared.rows[t];
+    if (!rows.empty()) {
       const int begin = static_cast<int>(index.refs.size());
-      s.rows[t] = {begin, begin + static_cast<int>(prepared[t].size())};
+      s.rows[t] = {begin, begin + static_cast<int>(rows.size())};
     }
-    for (auto& [ref, vec] : prepared[t]) {
-      ref.slot = slot;
-      MustInsert(index.Append(vec, std::move(ref)));
+    for (Row& row : rows) {
+      row.ref.slot = slot;
+      MustInsert(index.Append(std::move(row)));
     }
   }
-  report->columns_indexed += static_cast<int>(prepared[kTaskColumn].size());
-  report->entities_indexed += static_cast<int>(prepared[kTaskEntity].size());
+  report->columns_indexed +=
+      static_cast<int>(prepared.rows[kTaskColumn].size());
+  report->entities_indexed +=
+      static_cast<int>(prepared.rows[kTaskEntity].size());
 }
 
-void ServiceShard::InsertBatch(std::vector<Table> tables,
-                               std::vector<std::string> ids,
-                               std::vector<PreparedTable> prepared,
+void ServiceShard::InsertBatch(std::vector<PreparedTable> batch,
                                AddReport* report) {
   WriterMutexLock lock(&mu_);
-  for (size_t i = 0; i < tables.size(); ++i) {
-    InsertPreparedLocked(std::move(tables[i]), ids[i],
-                         std::move(prepared[i]), report);
+  for (PreparedTable& prepared : batch) {
+    InsertPreparedLocked(std::move(prepared), report);
   }
 }
 
-Status ServiceShard::InsertRows(LiveTableRows&& rows, AddReport* report) {
+Status ServiceShard::InsertRows(PreparedTable&& rows, AddReport* report) {
   if (rows.rows[kTaskTable].size() != 1) {
     return Status::ParseError(
         "service shard restore: a table needs exactly one table row");
@@ -297,20 +302,19 @@ Status ServiceShard::InsertRows(LiveTableRows&& rows, AddReport* report) {
   for (int t = 0; t < kNumServiceTasks; ++t) {
     const std::string what =
         std::string("service shard restore: ") + kServiceTaskNames[t];
-    for (const auto& [ref, vec] : rows.rows[t]) {
-      if (static_cast<int>(vec.size()) != ServiceTaskDim(*system_, t)) {
+    for (const Row& row : rows.rows[t]) {
+      if (static_cast<int>(row.vec.size()) != ServiceTaskDim(*system_, t)) {
         return Status::ParseError(what + " embedding width mismatch");
       }
       if (!CheckQueryCell(static_cast<ServiceTask>(t), rows.table.rows(),
-                          rows.table.cols(), ref.row, ref.col)
+                          rows.table.cols(), row.ref.row, row.ref.col)
                .ok()) {
         return Status::ParseError(what + " cell out of range");
       }
     }
   }
   WriterMutexLock lock(&mu_);
-  InsertPreparedLocked(std::move(rows.table), rows.id, std::move(rows.rows),
-                       report);
+  InsertPreparedLocked(std::move(rows), report);
   return Status::OK();
 }
 
@@ -416,7 +420,7 @@ Status ServiceShard::Compact() {
   // block on an in-flight encode whose pool task queues behind workers
   // that are themselves waiting on this writer lock — a deadlock — and
   // the stored rows already ARE the prepared vectors, bit for bit.
-  std::vector<LiveTableRows> live;
+  std::vector<PreparedTable> live;
   live.reserve(static_cast<size_t>(live_count_));
   TABBIN_RETURN_IF_ERROR(ExportLiveLocked(&live));
 
@@ -436,9 +440,8 @@ Status ServiceShard::Compact() {
   store_keepalive_.reset();
 
   AddReport discard;
-  for (LiveTableRows& rows : live) {
-    InsertPreparedLocked(std::move(rows.table), rows.id,
-                         std::move(rows.rows), &discard);
+  for (PreparedTable& rows : live) {
+    InsertPreparedLocked(std::move(rows), &discard);
   }
   return Status::OK();
 }
@@ -680,7 +683,7 @@ void ServiceShard::AppendLiveIds(std::vector<std::string>* out) const {
   for (const auto& [id, slot] : id_to_slot_) out->push_back(id);
 }
 
-Status ServiceShard::ExportLive(std::vector<LiveTableRows>* out) const {
+Status ServiceShard::ExportLive(std::vector<PreparedTable>* out) const {
   ReaderMutexLock lock(&mu_);
   return ExportLiveLocked(out);
 }
@@ -697,19 +700,21 @@ Result<Table> ServiceShard::MaterializeTableLocked(const TableSlot& s) const {
   return TableFromJson(json);
 }
 
-Status ServiceShard::ExportLiveLocked(std::vector<LiveTableRows>* out) const {
+Status ServiceShard::ExportLiveLocked(std::vector<PreparedTable>* out) const {
   for (const TableSlot& s : slots_) {
     if (!s.live) continue;
-    LiveTableRows rows;
+    PreparedTable rows;
     TABBIN_ASSIGN_OR_RETURN(rows.table, MaterializeTableLocked(s));
     rows.id = s.id;
+    rows.doc_tf = s.doc_tf;
     for (int t = 0; t < kNumServiceTasks; ++t) {
       const TaskIndex& index = tasks_[t];
       for (int r = s.rows[t].begin; r >= 0 && r < s.rows[t].end; ++r) {
         Ref ref = index.refs[static_cast<size_t>(r)];
         ref.slot = -1;  // re-assigned on insert
-        rows.rows[t].emplace_back(
-            std::move(ref), index.vecs.row(static_cast<size_t>(r)).ToVector());
+        rows.rows[t].push_back(
+            {std::move(ref), index.vecs.row(static_cast<size_t>(r)).ToVector(),
+             {}});
       }
     }
     out->push_back(std::move(rows));

@@ -115,6 +115,16 @@ class ServiceShard {
     std::string surface;  // entity rows only
   };
 
+  /// \brief One index row: its owner, its embedding, and its LSH bucket
+  /// keys (LshIndex::QueryKeys of `vec` on the service's hashers, so the
+  /// insert does no hashing under the writer lock). Empty `keys` mean
+  /// "hash on insert".
+  struct Row {
+    Ref ref;
+    std::vector<float> vec;
+    std::vector<uint64_t> keys;
+  };
+
   /// \brief One task's index: row i of `vecs` ↔ refs[i] ↔ LSH id i ↔
   /// graph node i.
   struct TaskIndex {
@@ -123,7 +133,7 @@ class ServiceShard {
     TaskIndex(int dim, const ServiceOptions& options);
 
     /// Appends one row to the matrix, refs, LSH index and graph.
-    Status Append(const std::vector<float>& vec, Ref ref);
+    Status Append(Row row);
 
     /// The candidate generator: a graph walk with beam `beam` when the
     /// graph exists, the LSH bucket probe of `keys` otherwise. Both hand
@@ -167,7 +177,7 @@ class ServiceShard {
     // column range, a contiguous entity range.
     std::array<RowRange, kNumServiceTasks> rows;
     // Doc-local lexical stats for the Ask gate (term -> count over the
-    // serialized table text). Derived on insert; the v2 paged store
+    // serialized table text). Derived in Prepare; the v2 paged store
     // persists it (sorted) so a mapped restore rebuilds the postings
     // without parsing any table JSON.
     std::unordered_map<std::string, int> doc_tf;
@@ -180,19 +190,16 @@ class ServiceShard {
   /// by liveness at query time) until Compact rebuilds.
   using LexPostings = std::unordered_map<std::string, std::vector<int>>;
 
-  /// \brief A table's embedding rows per task, with refs whose `slot` is
-  /// assigned on insert: everything AddTables derives from one table
-  /// before touching shared state (embeddings computed, widths
-  /// validated).
-  using TaskRows = std::vector<std::pair<Ref, std::vector<float>>>;
-  using PreparedTable = std::array<TaskRows, kNumServiceTasks>;
-
-  /// \brief One live table with its stored embedding rows — the
-  /// exchange format for re-partitioning a store onto a new shard count.
-  struct LiveTableRows {
+  /// \brief Everything an insert needs from one table, derived before
+  /// any lock is taken: the table, its serving id, its Ask document term
+  /// counts (ServiceDocTermFrequencies) and its index rows per task,
+  /// whose refs get their `slot` on insert. It is also the exchange
+  /// format of Compact and re-partitioning, whose rows carry no keys.
+  struct PreparedTable {
     Table table;
     std::string id;
-    PreparedTable rows;
+    std::unordered_map<std::string, int> doc_tf;
+    std::array<std::vector<Row>, kNumServiceTasks> rows;
   };
 
   ServiceShard(const TabBiNSystem* system, const ServiceOptions& options);
@@ -200,26 +207,29 @@ class ServiceShard {
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// \brief Embeds one encoded table for all three indexes; pure — no
-  /// lock, no shard state touched.
+  /// \brief Derives one encoded table's PreparedTable: the table copy,
+  /// the doc term counts, the embeddings for all three indexes and their
+  /// bucket keys under `hashers` (indexed by ServiceTask, the geometry
+  /// and seed of every shard's LSH indexes). Pure — no lock, no shard
+  /// state touched — so AddTables runs it in the thread pool.
   static Result<PreparedTable> Prepare(const TabBiNSystem& sys,
                                        const ServiceOptions& options,
-                                       const Table& table,
+                                       const std::vector<LshIndex>& hashers,
+                                       const Table& table, std::string id,
                                        const TableEncodings& enc);
 
   // --- Writes (exclusive lock, taken internally) ------------------------
 
   /// \brief Appends prepared tables as live slots (tombstoning previous
-  /// holders of re-used ids). Pure memory operation — encoding happened
-  /// in Prepare, outside any lock.
-  void InsertBatch(std::vector<Table> tables, std::vector<std::string> ids,
-                   std::vector<PreparedTable> prepared, AddReport* report)
+  /// holders of re-used ids), in batch order. Pure memory operation —
+  /// encoding and hashing happened in Prepare, outside any lock.
+  void InsertBatch(std::vector<PreparedTable> batch, AddReport* report)
       TABBIN_EXCLUDES(mu_);
 
   /// \brief Re-inserts one table from stored embedding rows
   /// (re-partitioning): validates widths and cells, then inserts
   /// without any encoder involvement. ParseError on a mismatch.
-  Status InsertRows(LiveTableRows&& rows, AddReport* report)
+  Status InsertRows(PreparedTable&& rows, AddReport* report)
       TABBIN_EXCLUDES(mu_);
 
   Status Remove(const std::string& id) TABBIN_EXCLUDES(mu_);
@@ -330,7 +340,7 @@ class ServiceShard {
   /// (re-partitioning), in slot order. On a mapped shard this
   /// parses every lazy table JSON — ParseError if the mapped blob is
   /// corrupt, so the failure surfaces here instead of as a bad export.
-  Status ExportLive(std::vector<LiveTableRows>* out) const
+  Status ExportLive(std::vector<PreparedTable>* out) const
       TABBIN_EXCLUDES(mu_);
 
   // --- Paged store persistence (service/shard_store.cc) -----------------
@@ -359,11 +369,10 @@ class ServiceShard {
   bool is_mapped() const TABBIN_EXCLUDES(mu_);
 
  private:
-  void InsertPreparedLocked(Table table, const std::string& id,
-                            PreparedTable&& prepared, AddReport* report)
+  void InsertPreparedLocked(PreparedTable&& prepared, AddReport* report)
       TABBIN_REQUIRES(mu_);
 
-  Status ExportLiveLocked(std::vector<LiveTableRows>* out) const
+  Status ExportLiveLocked(std::vector<PreparedTable>* out) const
       TABBIN_REQUIRES_SHARED(mu_);
 
   /// \brief The slot's full table: a copy when loaded, otherwise parsed

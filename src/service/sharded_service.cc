@@ -134,63 +134,82 @@ void TabBinService::ForEachShard(const Fn& fn) const {
 Result<AddReport> TabBinService::AddTables(const std::vector<Table>& tables) {
   AddReport report;
   if (tables.empty()) return report;
+  const size_t count = tables.size();
+  // Per-table work runs in the pool; a small grain spreads even a short
+  // batch over every worker.
+  constexpr size_t kGrain = 8;
 
-  std::vector<std::string> ids;
-  ids.reserve(tables.size());
-  for (const Table& t : tables) {
-    Status st = t.Validate();
-    if (!st.ok()) {
-      return Status::InvalidArgument("AddTables: table '" + t.id() +
-                                     "': " + st.message());
+  std::vector<Status> valid(count);
+  std::vector<std::string> ids(count);
+  ParallelFor(
+      0, count,
+      [&](size_t i) {
+        valid[i] = tables[i].Validate();
+        if (valid[i].ok()) ids[i] = CanonicalTableId(tables[i]);
+      },
+      kGrain);
+  for (size_t i = 0; i < count; ++i) {
+    if (!valid[i].ok()) {
+      return Status::InvalidArgument("AddTables: table '" + tables[i].id() +
+                                     "': " + valid[i].message());
     }
-    ids.push_back(CanonicalTableId(t));
-  }
-
-  // Encode the batch before any shard lock is taken: forward passes are
-  // the expensive part and the engine has its own synchronization, so
-  // readers keep being served while new tables encode. Embeddings are
-  // derived outside the locks too; each shard's writer critical section
-  // is appends and index inserts only.
-  auto encodings = engine_->EncodeBatch(tables);
-  std::vector<ServiceShard::PreparedTable> prepared;
-  prepared.reserve(tables.size());
-  for (size_t i = 0; i < tables.size(); ++i) {
-    TABBIN_ASSIGN_OR_RETURN(
-        ServiceShard::PreparedTable p,
-        ServiceShard::Prepare(*system_, options_, tables[i], *encodings[i]));
-    prepared.push_back(std::move(p));
   }
 
   if (options_.encoder_cache_capacity == 0) {
     // Documented auto mode: the cache grows with the corpus so steady-
-    // state queries never re-run forward passes.
+    // state queries never re-run forward passes. Reserved before the
+    // encode, or a first batch larger than the starting capacity would
+    // evict its own encodings.
     size_t slots = 0;
     for (const auto& shard : shards_) slots += shard->slot_count();
-    engine_->Reserve(slots + tables.size());
+    engine_->Reserve(slots + count);
   }
+
+  // Encode and prepare the batch before any shard lock is taken:
+  // forward passes are the expensive part and the engine has its own
+  // synchronization, so readers keep being served while new tables
+  // encode. Embeddings, bucket keys, doc term counts and the table copy
+  // are derived outside the locks too; each shard's writer critical
+  // section is appends only.
+  auto encodings = engine_->EncodeBatch(tables);
+  std::vector<Result<ServiceShard::PreparedTable>> prepared(
+      count, Status::Internal("AddTables: table not prepared"));
+  ParallelFor(
+      0, count,
+      [&](size_t i) {
+        prepared[i] = ServiceShard::Prepare(*system_, options_, hashers_,
+                                            tables[i], std::move(ids[i]),
+                                            *encodings[i]);
+      },
+      kGrain);
+
+  // The cache keeps the encodings it has room for; drop the batch's own
+  // references before the shards grow, so the rest are freed first.
+  encodings = {};
 
   // Group by owning shard, preserving batch order within each group so
   // same-id replacement semantics inside one batch are unchanged.
   const size_t n = shards_.size();
-  std::vector<std::vector<Table>> shard_tables(n);
-  std::vector<std::vector<std::string>> shard_ids(n);
-  std::vector<std::vector<ServiceShard::PreparedTable>> shard_prepared(n);
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const size_t s = ShardIndexFor(ids[i], n);
-    shard_tables[s].push_back(tables[i]);
-    shard_ids[s].push_back(std::move(ids[i]));
-    shard_prepared[s].push_back(std::move(prepared[i]));
+  std::vector<std::vector<ServiceShard::PreparedTable>> batches(n);
+  for (auto& p : prepared) {
+    if (!p.ok()) return p.status();
+    const size_t s = ShardIndexFor(p.value().id, n);
+    batches[s].push_back(std::move(p).value());
   }
-  // Per-shard inserts are cheap memory operations; run them serially so
-  // the report needs no synchronization. Each shard's batch is applied
-  // atomically under that shard's writer lock; cross-shard visibility
-  // is per-shard (a reader may observe shard A's half of a batch before
-  // shard B's).
-  for (size_t s = 0; s < n; ++s) {
-    if (shard_tables[s].empty()) continue;
-    shards_[s]->InsertBatch(std::move(shard_tables[s]),
-                            std::move(shard_ids[s]),
-                            std::move(shard_prepared[s]), &report);
+  // Each shard's batch is applied atomically under that shard's writer
+  // lock, all shards at once; cross-shard visibility is per-shard (a
+  // reader may observe shard A's half of a batch before shard B's).
+  std::vector<AddReport> reports(n);
+  ForEachShard([&](size_t s) {
+    if (!batches[s].empty()) {
+      shards_[s]->InsertBatch(std::move(batches[s]), &reports[s]);
+    }
+  });
+  for (const AddReport& r : reports) {
+    report.tables_added += r.tables_added;
+    report.tables_replaced += r.tables_replaced;
+    report.columns_indexed += r.columns_indexed;
+    report.entities_indexed += r.entities_indexed;
   }
   return report;
 }
@@ -560,7 +579,7 @@ Result<std::unique_ptr<TabBinService>> TabBinService::FromStore(
 
   // Re-partition: materialize the mapped state (parses the lazy table
   // JSON) and re-insert by hash into a fresh heap-backed service.
-  std::vector<ServiceShard::LiveTableRows> rows;
+  std::vector<ServiceShard::PreparedTable> rows;
   for (const auto& shard : service->shards_) {
     TABBIN_RETURN_IF_ERROR(shard->ExportLive(&rows));
   }
@@ -574,8 +593,8 @@ Result<std::unique_ptr<TabBinService>> TabBinService::FromStore(
   // shapes internal row ids, which the partition-independent ranking
   // never consults — so the result answers identically at any count.
   std::sort(rows.begin(), rows.end(),
-            [](const ServiceShard::LiveTableRows& a,
-               const ServiceShard::LiveTableRows& b) { return a.id < b.id; });
+            [](const ServiceShard::PreparedTable& a,
+               const ServiceShard::PreparedTable& b) { return a.id < b.id; });
   AddReport discard;
   for (auto& row : rows) {
     const size_t shard = ShardIndexFor(row.id, repart->shards_.size());

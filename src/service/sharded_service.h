@@ -26,8 +26,9 @@
 // pins N ∈ {3, 8} against N = 1).
 //
 // Incremental updates: AddTables encodes new tables through
-// EncoderEngine::EncodeBatch and inserts their embeddings into the live
-// per-task indexes — no full rebuild. RemoveTable tombstones; dead
+// EncoderEngine::EncodeBatch, prepares each one in the thread pool
+// (embeddings, LSH keys, Ask term counts) and inserts into every owning
+// shard in parallel — no full rebuild. RemoveTable tombstones; dead
 // entries are filtered out of every response until Compact.
 //
 // Thread-safety: queries (Similar* / Ask and the *Embedding accessors)

@@ -90,6 +90,16 @@ Status LshIndex::Insert(int id, VecView vec) {
         " does not match index dim " + std::to_string(dim_) + " (id " +
         std::to_string(id) + ")");
   }
+  return InsertKeys(id, HashAllTables(vec));
+}
+
+Status LshIndex::InsertKeys(int id, const std::vector<uint64_t>& keys) {
+  if (static_cast<int>(keys.size()) != num_tables_) {
+    return Status::InvalidArgument(
+        "LshIndex::InsertKeys: " + std::to_string(keys.size()) +
+        " keys for " + std::to_string(num_tables_) + " tables (id " +
+        std::to_string(id) + ")");
+  }
   // Ids are dense row numbers: QueryByKeys dedups through a bitmap over
   // [0, size()), so an id outside that range would index past it.
   if (id != count_) {
@@ -97,7 +107,6 @@ Status LshIndex::Insert(int id, VecView vec) {
         "LshIndex::Insert: id " + std::to_string(id) +
         " is not the next dense id " + std::to_string(count_));
   }
-  const std::vector<uint64_t> keys = HashAllTables(vec);
   for (int t = 0; t < num_tables_; ++t) {
     tables_[static_cast<size_t>(t)][keys[static_cast<size_t>(t)]]
         .push_back(id);

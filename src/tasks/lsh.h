@@ -43,6 +43,13 @@ class LshIndex {
   /// lands in.
   Status Insert(int id, VecView vec);
 
+  /// \brief Insert by precomputed bucket keys: identical to
+  /// Insert(id, vec) when `keys` came from QueryKeys(vec) on a
+  /// same-geometry index, so callers can hash outside a lock. Same id
+  /// rule as Insert; a key count other than num_tables is
+  /// InvalidArgument.
+  Status InsertKeys(int id, const std::vector<uint64_t>& keys);
+
   /// \brief Ids colliding with `vec` in at least one table (candidates
   /// for exact cosine ranking), in ascending id order so that blocking —
   /// and everything ranked after it — is deterministic across platforms.

@@ -115,56 +115,92 @@ __attribute__((target("avx2,fma"))) void AxpyAvx2(float a, const float* x,
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+// The GEMM micro-kernel: a kRows x (8 * kVecs) block of C lives in
+// registers for the whole k loop. Each step broadcasts kRows values of A
+// and loads kVecs 8-wide vectors of one B row, so every C element is one
+// sequential FMA chain over ascending k, starting from its stored value.
+// With a non-null `tail` (kVecs == 1) only the lanes it selects are
+// loaded and stored: the last m % 8 columns run the same per-lane FMA as
+// every other column, so no element's bits depend on where it falls.
+__attribute__((target("avx2,fma"))) inline __m256 LoadLanes(
+    const float* p, const __m256i* tail) {
+  return tail != nullptr ? _mm256_maskload_ps(p, *tail) : _mm256_loadu_ps(p);
+}
+
+template <int kRows, int kVecs>
+__attribute__((target("avx2,fma"))) inline void GemmBlockAvx2(
+    const float* A, const float* B, float* C, int k, int m, int i, int j,
+    const __m256i* tail) {
+  __m256 acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = LoadLanes(C + static_cast<size_t>(i + r) * m + j + 8 * v,
+                            tail);
+    }
+  }
+  const float* arow = A + static_cast<size_t>(i) * k;
+  for (int kk = 0; kk < k; ++kk) {
+    const float* brow = B + static_cast<size_t>(kk) * m + j;
+    __m256 b[kVecs];
+    for (int v = 0; v < kVecs; ++v) b[v] = LoadLanes(brow + 8 * v, tail);
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 a =
+          _mm256_broadcast_ss(arow + static_cast<size_t>(r) * k + kk);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(a, b[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      float* c = C + static_cast<size_t>(i + r) * m + j + 8 * v;
+      if (tail != nullptr) {
+        _mm256_maskstore_ps(c, *tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c, acc[r][v]);
+      }
+    }
+  }
+}
+
+// Every column block of kRows rows starting at row i: 16 wide, then 8
+// wide, then the masked m % 8 tail.
+template <int kRows>
+__attribute__((target("avx2,fma"))) inline void GemmRowsAvx2(
+    const float* A, const float* B, float* C, int k, int m, int i) {
+  int j = 0;
+  for (; j + 16 <= m; j += 16) {
+    GemmBlockAvx2<kRows, 2>(A, B, C, k, m, i, j, nullptr);
+  }
+  for (; j + 8 <= m; j += 8) {
+    GemmBlockAvx2<kRows, 1>(A, B, C, k, m, i, j, nullptr);
+  }
+  if (j < m) {
+    static const int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                       0,  0,  0,  0,  0,  0,  0,  0};
+    const __m256i tail = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kLanes + 8 - (m - j)));
+    GemmBlockAvx2<kRows, 1>(A, B, C, k, m, i, j, &tail);
+  }
+}
+
 __attribute__((target("avx2,fma"))) void GemmAvx2(const float* A,
                                                    const float* B, float* C,
                                                    int n, int k, int m) {
-  // Register-blocked rank-4 update: four broadcast A values stream four
-  // B rows through one C row per pass. Per C element the k dimension
-  // still accumulates in ascending order (a0, a1, a2, a3 chain
-  // sequentially into the same register), so the result is
-  // deterministic for this level.
-  for (int i = 0; i < n; ++i) {
-    const float* arow = A + static_cast<size_t>(i) * k;
-    float* crow = C + static_cast<size_t>(i) * m;
-    int kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      const __m256 a0 = _mm256_set1_ps(arow[kk]);
-      const __m256 a1 = _mm256_set1_ps(arow[kk + 1]);
-      const __m256 a2 = _mm256_set1_ps(arow[kk + 2]);
-      const __m256 a3 = _mm256_set1_ps(arow[kk + 3]);
-      const float* b0 = B + static_cast<size_t>(kk) * m;
-      const float* b1 = b0 + m;
-      const float* b2 = b1 + m;
-      const float* b3 = b2 + m;
-      int j = 0;
-      for (; j + 8 <= m; j += 8) {
-        __m256 c = _mm256_loadu_ps(crow + j);
-        c = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + j), c);
-        c = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + j), c);
-        c = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b2 + j), c);
-        c = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b3 + j), c);
-        _mm256_storeu_ps(crow + j, c);
-      }
-      for (; j < m; ++j) {
-        float c = crow[j];
-        c += arow[kk] * b0[j];
-        c += arow[kk + 1] * b1[j];
-        c += arow[kk + 2] * b2[j];
-        c += arow[kk + 3] * b3[j];
-        crow[j] = c;
-      }
-    }
-    for (; kk < k; ++kk) {
-      const __m256 av = _mm256_set1_ps(arow[kk]);
-      const float* brow = B + static_cast<size_t>(kk) * m;
-      int j = 0;
-      for (; j + 8 <= m; j += 8) {
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j),
-                                         _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < m; ++j) crow[j] += arow[kk] * brow[j];
-    }
+  int i = 0;
+  for (; i + 4 <= n; i += 4) GemmRowsAvx2<4>(A, B, C, k, m, i);
+  switch (n - i) {
+    case 3:
+      GemmRowsAvx2<3>(A, B, C, k, m, i);
+      break;
+    case 2:
+      GemmRowsAvx2<2>(A, B, C, k, m, i);
+      break;
+    case 1:
+      GemmRowsAvx2<1>(A, B, C, k, m, i);
+      break;
+    default:
+      break;
   }
 }
 
@@ -477,10 +513,10 @@ void GemmNeon(const float* A, const float* B, float* C, int n, int k,
       }
       for (; j < m; ++j) {
         float c = crow[j];
-        c += arow[kk] * b0[j];
-        c += arow[kk + 1] * b1[j];
-        c += arow[kk + 2] * b2[j];
-        c += arow[kk + 3] * b3[j];
+        c = std::fma(arow[kk], b0[j], c);
+        c = std::fma(arow[kk + 1], b1[j], c);
+        c = std::fma(arow[kk + 2], b2[j], c);
+        c = std::fma(arow[kk + 3], b3[j], c);
         crow[j] = c;
       }
     }
@@ -492,7 +528,7 @@ void GemmNeon(const float* A, const float* B, float* C, int n, int k,
         vst1q_f32(crow + j,
                   vfmaq_f32(vld1q_f32(crow + j), av, vld1q_f32(brow + j)));
       }
-      for (; j < m; ++j) crow[j] += arow[kk] * brow[j];
+      for (; j < m; ++j) crow[j] = std::fma(arow[kk], brow[j], crow[j]);
     }
   }
 }

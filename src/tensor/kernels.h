@@ -88,7 +88,12 @@ void BatchedCosineRows(const float* q, float inv_q, const float* m,
 /// \brief C += A * B for row-major A [n, k], B [k, m], C [n, m].
 /// Accumulates — the caller zeroes C for a plain product. Per output
 /// element the k-dimension accumulates in ascending order at every
-/// dispatch level, so results are deterministic for a fixed level.
+/// dispatch level, so results are deterministic for a fixed level. At
+/// the SIMD levels every element is exactly the chain
+/// c = std::fma(A[i][kk], B[kk][j], c) over kk = 0, 1, ..., k - 1,
+/// whatever its position in the register blocking (tests/kernels_test.cc
+/// pins this bit for bit); the scalar level multiplies and adds
+/// separately.
 void Gemm(const float* A, const float* B, float* C, int n, int k, int m);
 
 // --- Int8 scalar-quantized tier ----------------------------------------

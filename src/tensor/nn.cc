@@ -1,12 +1,55 @@
 #include "tensor/nn.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "util/logging.h"
 #include "util/serialize.h"
 #include "util/snapshot.h"
 
 namespace tabbin {
+
+namespace {
+
+// Every float x below this has std::exp(x) == 0.0f exactly (the float
+// exp underflows to zero below about -103.97), so skipping the call
+// there changes no bit. Masked attention entries sit near -1e9.
+constexpr float kExpIsZeroBelow = -1000.0f;
+
+// Scale -> SoftmaxRows(scores, bias) of the tape, in place over
+// s [n, n]: the same float operations in the same order.
+void ScaledSoftmaxRowsInPlace(float* s, const float* bias, int n,
+                              float scale) {
+  for (int r = 0; r < n; ++r) {
+    float* row = s + static_cast<size_t>(r) * n;
+    const float* brow =
+        bias == nullptr ? nullptr : bias + static_cast<size_t>(r) * n;
+    float maxv = -1e30f;
+    for (int c = 0; c < n; ++c) {
+      float v = row[c] * scale;
+      if (brow != nullptr) v += brow[c];
+      row[c] = v;
+      if (v > maxv) maxv = v;
+    }
+    float sum = 0.0f;
+    for (int c = 0; c < n; ++c) {
+      const float d = row[c] - maxv;
+      const float e = d < kExpIsZeroBelow ? 0.0f : std::exp(d);
+      row[c] = e;
+      sum += e;
+    }
+    const float inv = 1.0f / (sum + 1e-12f);
+    for (int c = 0; c < n; ++c) row[c] *= inv;
+  }
+}
+
+}  // namespace
+
+InferenceWorkspace& InferenceWorkspace::ForThisThread() {
+  thread_local InferenceWorkspace ws;
+  return ws;
+}
 
 Linear::Linear(int in_features, int out_features, Rng* rng, bool with_bias)
     : in_(in_features), out_(out_features), has_bias_(with_bias) {
@@ -23,6 +66,28 @@ Tensor Linear::Forward(const Tensor& x) const {
   Tensor y = MatMul(x, Transpose(weight));
   if (has_bias_) y = AddRowBroadcast(y, bias);
   return y;
+}
+
+void Linear::ForwardInference(const float* x, int n, float* y,
+                              InferenceWorkspace* ws) const {
+  // W^T [in, out], as Transpose(weight) materializes it on the tape.
+  float* wt = InferenceWorkspace::Get(&ws->wt,
+                                      static_cast<size_t>(in_) * out_);
+  const float* w = weight.data();
+  for (int o = 0; o < out_; ++o) {
+    for (int i = 0; i < in_; ++i) {
+      wt[static_cast<size_t>(i) * out_ + o] =
+          w[static_cast<size_t>(o) * in_ + i];
+    }
+  }
+  std::fill(y, y + static_cast<size_t>(n) * out_, 0.0f);
+  kernels::Gemm(x, wt, y, n, in_, out_);
+  if (!has_bias_) return;
+  const float* b = bias.data();
+  for (int r = 0; r < n; ++r) {
+    float* row = y + static_cast<size_t>(r) * out_;
+    for (int c = 0; c < out_; ++c) row[c] = row[c] + b[c];
+  }
 }
 
 void Linear::CollectParameters(const std::string& prefix,
@@ -90,6 +155,53 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
   return o_->Forward(concat);
 }
 
+void MultiHeadSelfAttention::ForwardInference(const float* x, int n,
+                                              const float* attn_bias,
+                                              float* out,
+                                              InferenceWorkspace* ws) const {
+  const size_t nh = static_cast<size_t>(n) * hidden_;
+  const size_t nd = static_cast<size_t>(n) * head_dim_;
+  float* q = InferenceWorkspace::Get(&ws->q, nh);
+  float* k = InferenceWorkspace::Get(&ws->k, nh);
+  float* v = InferenceWorkspace::Get(&ws->v, nh);
+  q_->ForwardInference(x, n, q, ws);
+  k_->ForwardInference(x, n, k, ws);
+  v_->ForwardInference(x, n, v, ws);
+
+  float* qh = InferenceWorkspace::Get(&ws->qh, nd);
+  float* kt = InferenceWorkspace::Get(&ws->kt, nd);
+  float* vh = InferenceWorkspace::Get(&ws->vh, nd);
+  float* scores =
+      InferenceWorkspace::Get(&ws->scores, static_cast<size_t>(n) * n);
+  float* head = InferenceWorkspace::Get(&ws->head, nd);
+  float* concat = InferenceWorkspace::Get(&ws->concat, nh);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  for (int h = 0; h < heads_; ++h) {
+    // Strided copies of head h's columns: q and v as [n, hd], k already
+    // transposed to [hd, n].
+    const size_t col0 = static_cast<size_t>(h) * head_dim_;
+    for (int r = 0; r < n; ++r) {
+      const size_t src = static_cast<size_t>(r) * hidden_ + col0;
+      for (int i = 0; i < head_dim_; ++i) {
+        qh[static_cast<size_t>(r) * head_dim_ + i] = q[src + i];
+        kt[static_cast<size_t>(i) * n + r] = k[src + i];
+        vh[static_cast<size_t>(r) * head_dim_ + i] = v[src + i];
+      }
+    }
+    std::fill(scores, scores + static_cast<size_t>(n) * n, 0.0f);
+    kernels::Gemm(qh, kt, scores, n, head_dim_, n);
+    ScaledSoftmaxRowsInPlace(scores, attn_bias, n, scale);
+    std::fill(head, head + nd, 0.0f);
+    kernels::Gemm(scores, vh, head, n, n, head_dim_);
+    for (int r = 0; r < n; ++r) {
+      std::copy(head + static_cast<size_t>(r) * head_dim_,
+                head + static_cast<size_t>(r + 1) * head_dim_,
+                concat + static_cast<size_t>(r) * hidden_ + col0);
+    }
+  }
+  o_->ForwardInference(concat, n, out, ws);
+}
+
 void MultiHeadSelfAttention::CollectParameters(const std::string& prefix,
                                                ParameterMap* out) const {
   q_->CollectParameters(prefix + "q.", out);
@@ -105,6 +217,15 @@ FeedForward::FeedForward(int hidden, int intermediate, Rng* rng) {
 
 Tensor FeedForward::Forward(const Tensor& x) const {
   return fc2_->Forward(Gelu(fc1_->Forward(x)));
+}
+
+void FeedForward::ForwardInference(const float* x, int n, float* out,
+                                   InferenceWorkspace* ws) const {
+  const size_t size = static_cast<size_t>(n) * fc1_->out_features();
+  float* inter = InferenceWorkspace::Get(&ws->inter, size);
+  fc1_->ForwardInference(x, n, inter, ws);
+  GeluForward(inter, size, inter);
+  fc2_->ForwardInference(inter, n, out, ws);
 }
 
 void FeedForward::CollectParameters(const std::string& prefix,
@@ -133,6 +254,20 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x,
   return ln2_->Forward(Add(h, f));
 }
 
+void TransformerEncoderLayer::ForwardInference(float* x, int n,
+                                               const float* attn_bias,
+                                               InferenceWorkspace* ws) const {
+  const size_t size = static_cast<size_t>(n) * attn_->hidden();
+  float* a = InferenceWorkspace::Get(&ws->attn, size);
+  attn_->ForwardInference(x, n, attn_bias, a, ws);
+  for (size_t i = 0; i < size; ++i) x[i] = x[i] + a[i];
+  ln1_->ForwardInference(x, n);
+  float* f = InferenceWorkspace::Get(&ws->ffn, size);
+  ffn_->ForwardInference(x, n, f, ws);
+  for (size_t i = 0; i < size; ++i) x[i] = x[i] + f[i];
+  ln2_->ForwardInference(x, n);
+}
+
 void TransformerEncoderLayer::CollectParameters(const std::string& prefix,
                                                 ParameterMap* out) const {
   attn_->CollectParameters(prefix + "attn.", out);
@@ -159,6 +294,14 @@ Tensor TransformerEncoder::Forward(const Tensor& x, const Tensor* attn_bias,
     h = layer->Forward(h, attn_bias, dropout, rng, training);
   }
   return h;
+}
+
+void TransformerEncoder::ForwardInference(float* x, int n,
+                                          const float* attn_bias,
+                                          InferenceWorkspace* ws) const {
+  for (const auto& layer : layers_) {
+    layer->ForwardInference(x, n, attn_bias, ws);
+  }
 }
 
 void TransformerEncoder::CollectParameters(const std::string& prefix,

@@ -22,6 +22,33 @@ namespace tabbin {
 /// \brief Flat registry of named parameters (name -> tensor handle).
 using ParameterMap = std::map<std::string, Tensor>;
 
+/// \brief Scratch buffers of the tape-free inference forward, one set per
+/// thread (ForThisThread). Buffers only grow, and nothing in them
+/// outlives a call; weights are re-transposed into `wt` on every use, so
+/// there is no cached state to invalidate after training or a Load.
+struct InferenceWorkspace {
+  std::vector<float> wt;         // transposed weight of the current Linear
+  std::vector<float> q, k, v;    // [n, hidden] attention projections
+  std::vector<float> qh, kt, vh;  // one head: [n, hd], [hd, n], [n, hd]
+  std::vector<float> scores;     // [n, n]
+  std::vector<float> head;       // [n, hd] one head's output
+  std::vector<float> concat;     // [n, hidden] all heads' outputs
+  std::vector<float> attn;       // [n, hidden] attention block output
+  std::vector<float> inter;      // [n, intermediate]
+  std::vector<float> ffn;        // [n, hidden] feed-forward output, E_fmt
+  std::vector<float> features;   // small per-token inputs (format bits)
+  std::vector<float> bias;       // [n, n] attention bias
+
+  /// \brief The calling thread's workspace.
+  static InferenceWorkspace& ForThisThread();
+
+  /// \brief `buf` grown to at least n floats; its data pointer.
+  static float* Get(std::vector<float>* buf, size_t n) {
+    if (buf->size() < n) buf->resize(n);
+    return buf->data();
+  }
+};
+
 /// \brief Base class for layers; subclasses register parameters under a
 /// caller-provided name prefix.
 class Module {
@@ -54,6 +81,11 @@ class Linear : public Module {
   Linear(int in_features, int out_features, Rng* rng, bool bias = true);
 
   Tensor Forward(const Tensor& x) const;
+
+  /// \brief Tape-free Forward: y [n, out] = x [n, in] W^T + b, with the
+  /// float operations of Forward in the same order.
+  void ForwardInference(const float* x, int n, float* y,
+                        InferenceWorkspace* ws) const;
 
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;
@@ -94,6 +126,12 @@ class LayerNorm : public Module {
     return LayerNormOp(x, gamma, beta);
   }
 
+  /// \brief Tape-free Forward over x [n, dim], in place.
+  void ForwardInference(float* x, int n) const {
+    LayerNormForward(x, n, gamma.dim(0), gamma.data(), beta.data(),
+                     kLayerNormEps, x);
+  }
+
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;
 
@@ -111,6 +149,12 @@ class MultiHeadSelfAttention : public Module {
   /// \param attn_bias Optional [n, n] additive bias applied to every
   /// head's pre-softmax scores (0 = visible, -1e9 = masked).
   Tensor Forward(const Tensor& x, const Tensor* attn_bias) const;
+
+  /// \brief Tape-free Forward: out [n, hidden] from x [n, hidden] and an
+  /// optional [n, n] bias. Heads are sliced with strided copies; exp is
+  /// skipped only where it is exactly 0.
+  void ForwardInference(const float* x, int n, const float* attn_bias,
+                        float* out, InferenceWorkspace* ws) const;
 
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;
@@ -130,6 +174,10 @@ class FeedForward : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
+  /// \brief Tape-free Forward: out [n, hidden] from x [n, hidden].
+  void ForwardInference(const float* x, int n, float* out,
+                        InferenceWorkspace* ws) const;
+
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;
 
@@ -146,6 +194,12 @@ class TransformerEncoderLayer : public Module {
 
   Tensor Forward(const Tensor& x, const Tensor* attn_bias, float dropout,
                  Rng* rng, bool training) const;
+
+  /// \brief Eval-mode Forward without a tape, in place on x [n, hidden]:
+  /// the same float operations in the same order, so the result equals
+  /// Forward(x, attn_bias, dropout, rng, /*training=*/false) bit for bit.
+  void ForwardInference(float* x, int n, const float* attn_bias,
+                        InferenceWorkspace* ws) const;
 
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;
@@ -165,6 +219,10 @@ class TransformerEncoder : public Module {
   Tensor Forward(const Tensor& x, const Tensor* attn_bias,
                  float dropout = 0.0f, Rng* rng = nullptr,
                  bool training = false) const;
+
+  /// \brief Every layer's ForwardInference in turn, in place on x.
+  void ForwardInference(float* x, int n, const float* attn_bias,
+                        InferenceWorkspace* ws) const;
 
   void CollectParameters(const std::string& prefix,
                          ParameterMap* out) const override;

@@ -272,15 +272,12 @@ Tensor SoftmaxRows(const Tensor& x, const Tensor* additive_mask) {
   return result;
 }
 
-Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   float eps) {
-  assert(x.ndim() == 2 && gamma.ndim() == 1 && beta.ndim() == 1);
-  assert(x.dim(1) == gamma.dim(0) && x.dim(1) == beta.dim(0));
-  const int n = x.dim(0), d = x.dim(1);
-  std::vector<float> out(x.size());
-  std::vector<float> mean(n), rstd(n);
+void LayerNormForward(const float* x, int n, int d, const float* gamma,
+                      const float* beta, float eps, float* out, float* mean,
+                      float* rstd) {
   for (int r = 0; r < n; ++r) {
-    const float* row = x.data() + static_cast<size_t>(r) * d;
+    const float* row = x + static_cast<size_t>(r) * d;
+    float* orow = out + static_cast<size_t>(r) * d;
     float mu = 0.0f;
     for (int c = 0; c < d; ++c) mu += row[c];
     mu /= static_cast<float>(d);
@@ -291,13 +288,23 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     }
     var /= static_cast<float>(d);
     float rs = 1.0f / std::sqrt(var + eps);
-    mean[r] = mu;
-    rstd[r] = rs;
+    if (mean != nullptr) mean[r] = mu;
+    if (rstd != nullptr) rstd[r] = rs;
     for (int c = 0; c < d; ++c) {
-      out[static_cast<size_t>(r) * d + c] =
-          (row[c] - mu) * rs * gamma.at(c) + beta.at(c);
+      orow[c] = (row[c] - mu) * rs * gamma[c] + beta[c];
     }
   }
+}
+
+Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                   float eps) {
+  assert(x.ndim() == 2 && gamma.ndim() == 1 && beta.ndim() == 1);
+  assert(x.dim(1) == gamma.dim(0) && x.dim(1) == beta.dim(0));
+  const int n = x.dim(0), d = x.dim(1);
+  std::vector<float> out(x.size());
+  std::vector<float> mean(n), rstd(n);
+  LayerNormForward(x.data(), n, d, gamma.data(), beta.data(), eps, out.data(),
+                   mean.data(), rstd.data());
   Tensor result =
       MakeOpOutput(x.shape(), std::move(out), {x, gamma, beta}, nullptr);
   if (result.requires_grad()) {
@@ -349,13 +356,17 @@ namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 }
 
-Tensor Gelu(const Tensor& x) {
-  std::vector<float> out(x.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    float v = x.data()[i];
+void GeluForward(const float* x, size_t n, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    float v = x[i];
     float inner = kGeluC * (v + 0.044715f * v * v * v);
     out[i] = 0.5f * v * (1.0f + std::tanh(inner));
   }
+}
+
+Tensor Gelu(const Tensor& x) {
+  std::vector<float> out(x.size());
+  GeluForward(x.data(), out.size(), out.data());
   Tensor result = MakeOpOutput(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
     TensorImpl* xi = x.impl().get();

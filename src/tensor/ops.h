@@ -43,14 +43,31 @@ Tensor Transpose(const Tensor& a);
 /// enters the attention computation (paper eq. (1)).
 Tensor SoftmaxRows(const Tensor& x, const Tensor* additive_mask = nullptr);
 
+/// \brief LayerNorm's variance epsilon (LayerNormOp's default).
+inline constexpr float kLayerNormEps = 1e-5f;
+
 /// \brief Layer normalization over the last dimension of [n, d].
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   float eps = 1e-5f);
+                   float eps = kLayerNormEps);
 
 /// \brief Gaussian error linear unit (tanh approximation, as in BERT).
 Tensor Gelu(const Tensor& x);
 Tensor Relu(const Tensor& x);
 Tensor TanhOp(const Tensor& x);
+
+// The forward arithmetic of LayerNormOp and Gelu on raw row-major
+// buffers. The ops call these, and so does the tape-free inference path
+// (TransformerEncoderLayer::ForwardInference), so the two compute the
+// same floats by construction. `out` may alias `x`.
+
+/// \brief out = LayerNorm(x) over each row of x [n, d]; `mean` and
+/// `rstd` (n each, optional) receive the per-row statistics.
+void LayerNormForward(const float* x, int n, int d, const float* gamma,
+                      const float* beta, float eps, float* out,
+                      float* mean = nullptr, float* rstd = nullptr);
+
+/// \brief out[i] = GELU(x[i]) for i in [0, n) (tanh approximation).
+void GeluForward(const float* x, size_t n, float* out);
 
 /// \brief Gathers rows of an embedding matrix: weight [V, d], ids (n) ->
 /// [n, d]. Backward scatter-adds into the weight gradient.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/input_builder.h"
@@ -410,6 +411,89 @@ TEST(ModelTest, AblationFlagsChangeOutput) {
     *reinterpret_cast<bool*>(reinterpret_cast<char*>(&ablated) + offset) =
         false;
     EXPECT_NE(encode_mean(ablated), full);
+  }
+}
+
+// Encode without a tape runs the tape-free inference path; with the
+// tape recording it runs the autograd ops. The two must agree bit for
+// bit — the contract that keeps every served embedding unchanged — over
+// the serving geometry and TinyConfig, 1 and 2 layers, 1 to 3 heads,
+// each ablation flag off (the visibility flag leaves no attention bias)
+// and every sequence length up to max_seq_len.
+TEST(ModelTest, InferencePathIsBitIdenticalToTape) {
+  Vocab vocab = FixtureVocab();
+  TypeInferencer typer;
+  // A long token stream: every segment of both fixture tables, repeated
+  // until it covers the longest max_seq_len below.
+  TabBiNConfig build_cfg = TinyConfig();
+  build_cfg.max_seq_len = 512;
+  std::vector<TokenFeatures> stream;
+  while (stream.size() < 96) {
+    for (const Table& t : {MakeOncologyTable(), MakeRelationalTable()}) {
+      for (TabBiNVariant v :
+           {TabBiNVariant::kDataRow, TabBiNVariant::kDataColumn,
+            TabBiNVariant::kHmd, TabBiNVariant::kVmd}) {
+        EncodedSequence seq = BuildSequence(t, v, vocab, typer, build_cfg);
+        stream.insert(stream.end(), seq.tokens.begin(), seq.tokens.end());
+      }
+    }
+  }
+
+  std::vector<std::pair<std::string, TabBiNConfig>> cases;
+  cases.emplace_back("tiny", TinyConfig());
+  TabBiNConfig serving = TinyConfig();
+  serving.hidden = 36;
+  serving.num_heads = 2;
+  serving.intermediate = 72;
+  cases.emplace_back("serving", serving);
+  serving.num_layers = 2;
+  cases.emplace_back("serving-2-layers", serving);
+  for (int heads : {1, 3}) {
+    TabBiNConfig cfg = TinyConfig();
+    cfg.num_heads = heads;
+    cases.emplace_back("heads-" + std::to_string(heads), cfg);
+  }
+  TabBiNConfig two_layers = TinyConfig();
+  two_layers.num_layers = 2;
+  cases.emplace_back("tiny-2-layers", two_layers);
+  for (int flag = 0; flag < 4; ++flag) {
+    TabBiNConfig cfg = TinyConfig();
+    bool* flags[] = {&cfg.use_visibility_matrix, &cfg.use_type_inference,
+                     &cfg.use_units_nesting, &cfg.use_bidimensional_coords};
+    *flags[flag] = false;
+    cases.emplace_back("ablation-" + std::to_string(flag), cfg);
+  }
+
+  for (const auto& [name, cfg] : cases) {
+    ASSERT_TRUE(cfg.Valid()) << name;
+    Rng rng(cfg.seed);
+    TabBiNModel model(cfg, vocab.size(), TabBiNVariant::kDataRow, &rng);
+    // Perturb every parameter so biases, LayerNorm gains and shifts are
+    // not their zero / one initial values.
+    Rng noise(7);
+    for (auto& [param, t] : model.Parameters()) {
+      Tensor handle = t;
+      for (float& x : handle.vec()) {
+        x += 0.1f * static_cast<float>(noise.Gaussian());
+      }
+    }
+    ASSERT_GE(static_cast<int>(stream.size()), cfg.max_seq_len);
+    for (int len = 1; len <= cfg.max_seq_len; ++len) {
+      EncodedSequence seq;
+      seq.tokens.assign(stream.begin(), stream.begin() + len);
+      ASSERT_TRUE(NoGradGuard::GradEnabled());
+      const Tensor tape = model.Encode(seq);
+      Tensor fast;
+      {
+        NoGradGuard guard;
+        fast = model.Encode(seq);
+      }
+      ASSERT_EQ(tape.shape(), fast.shape()) << name << " len " << len;
+      ASSERT_EQ(std::memcmp(tape.data(), fast.data(),
+                            tape.size() * sizeof(float)),
+                0)
+          << name << " len " << len;
+    }
   }
 }
 

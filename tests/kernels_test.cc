@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -217,6 +218,43 @@ TEST(KernelAgreementTest, GemmSimdMatchesScalar) {
         EXPECT_NEAR(cs[static_cast<size_t>(i) * m + j],
                     cv[static_cast<size_t>(i) * m + j], tol)
             << n << "x" << k << "x" << m << " at (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+// The SIMD GEMM contract is exact, not a tolerance: every element of C
+// is the std::fma chain over ascending k, starting from C's old value,
+// wherever it falls in the register blocking (4-row blocks and the row
+// tail, 16- and 8-wide column blocks and the m % 8 column tail). This is
+// what the tape-free encoder path relies on to reproduce the tape's
+// embeddings bit for bit.
+TEST(KernelAgreementTest, GemmSimdIsBitIdenticalToFmaChain) {
+  Dispatch simd;
+  if (!SimdLevel(&simd)) GTEST_SKIP() << "no SIMD level on this hardware";
+  Rng rng(47);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Random shapes straddling n % 4, k % 4, m % 8 and m % 16.
+    const int n = static_cast<int>(rng.UniformInt(1, 13));
+    const int k = static_cast<int>(rng.UniformInt(1, 41));
+    const int m = static_cast<int>(rng.UniformInt(1, 53));
+    const auto a = RandomVec(&rng, static_cast<size_t>(n) * k);
+    const auto b = RandomVec(&rng, static_cast<size_t>(k) * m);
+    // C starts non-zero to pin the accumulate semantics.
+    const auto c0 = RandomVec(&rng, static_cast<size_t>(n) * m);
+    std::vector<float> c = c0;
+    kernels::GemmAt(simd, a.data(), b.data(), c.data(), n, k, m);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < m; ++j) {
+        float want = c0[static_cast<size_t>(i) * m + j];
+        for (int kk = 0; kk < k; ++kk) {
+          want = std::fma(a[static_cast<size_t>(i) * k + kk],
+                          b[static_cast<size_t>(kk) * m + j], want);
+        }
+        const float got = c[static_cast<size_t>(i) * m + j];
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+            << n << "x" << k << "x" << m << " at (" << i << "," << j
+            << "): " << got << " vs fma chain " << want;
       }
     }
   }

@@ -75,6 +75,27 @@ TEST(TabBinServiceTest, AddTablesReportsAndIndexes) {
   EXPECT_EQ(svc->NumLiveTables(), SharedCorpus().corpus.tables.size());
 }
 
+// The auto-sized encoder cache (encoder_cache_capacity = 0) grows with
+// the corpus: a first batch larger than its starting capacity of 256
+// must keep every encoding, so re-embedding the corpus runs no forward
+// pass.
+TEST(TabBinServiceTest, AutoEncoderCacheKeepsAFirstBatchBeyond256) {
+  GeneratorOptions gen;
+  gen.num_tables = 300;
+  gen.seed = 12;
+  const std::vector<Table> tables =
+      GenerateDataset("cancerkg", gen).corpus.tables;
+  ASSERT_EQ(tables.size(), 300u);
+  ServiceOptions options;
+  options.encoder_cache_capacity = 0;
+  auto svc = std::make_unique<TabBinService>(SharedSystem(), options);
+  ASSERT_TRUE(svc->AddTables(tables).ok());
+  EXPECT_EQ(svc->engine().size(), 300u);
+  const size_t misses = svc->engine().misses();
+  for (const Table& t : tables) (void)svc->TableEmbedding(t);
+  EXPECT_EQ(svc->engine().misses(), misses);
+}
+
 TEST(TabBinServiceTest, SimilarTablesExcludesSelfAndDeadEntries) {
   auto svc = MakeService();
   ASSERT_TRUE(svc->AddTables(SharedCorpus().corpus.tables).ok());

@@ -369,6 +369,28 @@ TEST(LshTest, InsertRequiresDenseIds) {
   EXPECT_EQ(index.Query(v), (std::vector<int>{0, 1}));
 }
 
+// Inserting by keys hashed elsewhere (the serving layer hashes outside
+// its writer lock) builds the same buckets as inserting the vectors.
+TEST(LshTest, InsertKeysEqualsInsert) {
+  Rng rng(9);
+  const int dim = 16;
+  LshIndex by_vec(dim, /*num_bits=*/3, /*num_tables=*/6);
+  LshIndex by_keys(dim, /*num_bits=*/3, /*num_tables=*/6);
+  std::vector<std::vector<float>> vecs;
+  for (int i = 0; i < 200; ++i) {
+    vecs.push_back(RandomUnit(&rng, dim));
+    ASSERT_TRUE(by_vec.Insert(i, vecs.back()).ok());
+    ASSERT_TRUE(by_keys.InsertKeys(i, by_vec.QueryKeys(vecs.back())).ok());
+  }
+  for (const auto& v : vecs) EXPECT_EQ(by_keys.Query(v), by_vec.Query(v));
+  const std::vector<uint64_t> short_keys(5, 0);
+  EXPECT_EQ(by_keys.InsertKeys(200, short_keys).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(by_keys.InsertKeys(7, by_vec.QueryKeys(vecs[0])).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(by_keys.size(), 200);
+}
+
 // ---------------------------------------------------------------------------
 // Clustering harness
 // ---------------------------------------------------------------------------
