@@ -806,6 +806,28 @@ int Run(const std::string& out_path) {
               "%.2fx\n\n",
               cold_start_speedup);
 
+  // The same corpus re-partitioned into 4 shards (no re-encode: the
+  // override re-inserts the stored rows) and opened mapped. The rows
+  // above open a 1-shard store; this one is where the shards restore
+  // concurrently.
+  const std::string v2_4_path = "/tmp/tabbin_perf_cold_v2_4shards.tbsn";
+  {
+    auto four = TabBinService::Load(v2_path, 4);
+    Status saved = four.ok() ? four.value()->Save(v2_4_path) : four.status();
+    if (!saved.ok()) {
+      std::fprintf(stderr, "4-shard cold-start store failed: %s\n",
+                   saved.ToString().c_str());
+      return 1;
+    }
+  }
+  const double v2_open_4_ns = time_load_ns(v2_4_path);
+  if (v2_open_4_ns < 0) {
+    std::fprintf(stderr, "4-shard cold-start load failed\n");
+    return 1;
+  }
+  results.push_back(
+      Report("cold_start_v2_mapped_open_4shards", v2_open_4_ns, 0, 1));
+
   // --- Open-loop executor load ----------------------------------------
   // The executor's closed-loop round-trip is the query plus the
   // dispatcher wake-up and the promise/future handoff (the dispatcher

@@ -75,13 +75,18 @@ Status CheckQueryCell(ServiceTask task, int rows, int cols, int row, int col);
 /// per-shard ranking and every cross-shard merge sorts by.
 bool ServiceMatchOrder(const ServiceMatch& a, const ServiceMatch& b);
 
+/// \brief A table's Ask document term counts: (term, count) pairs
+/// sorted by term, each term once. One flat vector per table instead
+/// of a hash map keeps a store restore to one allocation per slot; the
+/// lexical gate looks terms up by binary search.
+using DocTermCounts = std::vector<std::pair<std::string, int>>;
+
 /// \brief Term counts of a table's Ask document text — THE lexical
 /// recipe of the serving layer. Every site that derives doc stats
 /// (insert, snapshot restore) must call this one function, or a
 /// restored service would score the lexical gate differently from a
 /// live-built one and silently break the equivalence guarantees.
-std::unordered_map<std::string, int> ServiceDocTermFrequencies(
-    const Table& table);
+DocTermCounts ServiceDocTermFrequencies(const Table& table);
 
 /// \brief Writes / reads the "service.options" section the v2 store
 /// bridges (construction knobs travel with the state so a restored
@@ -176,11 +181,11 @@ class ServiceShard {
     // exactly one table row (slot i owns table row i), a contiguous
     // column range, a contiguous entity range.
     std::array<RowRange, kNumServiceTasks> rows;
-    // Doc-local lexical stats for the Ask gate (term -> count over the
-    // serialized table text). Derived in Prepare; the v2 paged store
-    // persists it (sorted) so a mapped restore rebuilds the postings
-    // without parsing any table JSON.
-    std::unordered_map<std::string, int> doc_tf;
+    // Doc-local lexical stats for the Ask gate (term counts over the
+    // serialized table text, sorted by term). Derived in Prepare; the
+    // v2 paged store persists it in the same order, so a mapped restore
+    // rebuilds the postings without parsing any table JSON.
+    DocTermCounts doc_tf;
   };
 
   /// \brief Shard-local inverted index for the Ask lexical stage:
@@ -198,7 +203,7 @@ class ServiceShard {
   struct PreparedTable {
     Table table;
     std::string id;
-    std::unordered_map<std::string, int> doc_tf;
+    DocTermCounts doc_tf;
     std::array<std::vector<Row>, kNumServiceTasks> rows;
   };
 

@@ -10,9 +10,12 @@
 //             raw row-major f32 embedding blocks, page-aligned
 //
 // The split is what buys the O(ms) cold start: meta/norms/lsh are
-// metadata-sized and parsed (checksummed) eagerly, while the JSON blob
-// and the embedding blocks — virtually all of the bytes — are fetched
-// with SectionSpanUnverified and served zero-copy off the mapping.
+// metadata-sized, checksummed on open and parsed in place off the
+// mapping (PagedSnapshotReader::Section borrows, it does not copy),
+// while the JSON blob and the embedding blocks — virtually all of the
+// bytes — are fetched with SectionSpanUnverified and served zero-copy.
+// Each shard's group is independent of the others', so
+// TabBinService::FromStore restores the shards concurrently.
 // Tombstoned slots are persisted verbatim (ids, refs, bucket
 // pollution included) so a restored shard answers byte-identically to
 // the saved one, down to the `candidates` counts.
@@ -169,13 +172,10 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
     meta->WriteU64(off);
     meta->WriteU64(json->buffer().size() - off);
     if (s.live) {
-      // Sorted so the section bytes are deterministic for identical
-      // state (unordered_map iteration order is not).
-      std::vector<std::pair<std::string, int>> tf(s.doc_tf.begin(),
-                                                  s.doc_tf.end());
-      std::sort(tf.begin(), tf.end());
-      meta->WriteU64(tf.size());
-      for (const auto& [term, count] : tf) {
+      // Already sorted by term, so identical state writes identical
+      // bytes.
+      meta->WriteU64(s.doc_tf.size());
+      for (const auto& [term, count] : s.doc_tf) {
         meta->WriteString(term);
         meta->WriteI32(count);
       }
@@ -282,9 +282,13 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
       for (uint64_t t = 0; t < n_tf; ++t) {
         TABBIN_ASSIGN_OR_RETURN(std::string term, meta.ReadString());
         TABBIN_ASSIGN_OR_RETURN(int32_t count, meta.ReadI32());
-        if (!s.doc_tf.emplace(std::move(term), count).second) {
-          return Status::ParseError("paged store: duplicate doc term");
+        // The lexical gate binary-searches these, so the order the
+        // writer produced is part of the format.
+        if (!s.doc_tf.empty() && !(s.doc_tf.back().first < term)) {
+          return Status::ParseError(
+              "paged store: doc terms out of order or repeated");
         }
+        s.doc_tf.emplace_back(std::move(term), count);
       }
       for (const auto& [term, count] : s.doc_tf) {
         lex_postings_[term].push_back(slot);

@@ -82,6 +82,15 @@ QueryResponse MergeMatchSets(std::vector<ServiceShard::MatchSet> partials,
   return response;
 }
 
+// The first non-OK status in shard order, or OK: the error a serial
+// loop over the shards would have stopped at.
+Status FirstError(const std::vector<Status>& per_shard) {
+  for (const Status& st : per_shard) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 TabBinService::TabBinService(std::shared_ptr<TabBiNSystem> system,
@@ -219,24 +228,27 @@ Status TabBinService::RemoveTable(const std::string& id) {
 }
 
 Status TabBinService::Compact() {
-  for (auto& shard : shards_) TABBIN_RETURN_IF_ERROR(shard->Compact());
-  return Status::OK();
+  // Shards compact independently, all at once; every shard runs even
+  // when another fails, and the lowest failing index reports, so the
+  // error does not depend on thread timing.
+  std::vector<Status> done(shards_.size(), Status::OK());
+  ForEachShard([&](size_t s) { done[s] = shards_[s]->Compact(); });
+  return FirstError(done);
 }
 
 void TabBinService::SetQuantizedScan(bool on, int shortlist_multiplier) {
   options_.quantized_scan = on;
   options_.quantized_shortlist_multiplier = std::max(1, shortlist_multiplier);
-  for (auto& shard : shards_) {
-    shard->SetQuantizedScan(on, shortlist_multiplier);
-  }
+  // Each shard (re-)quantizes its own three matrices on its own thread.
+  ForEachShard([&](size_t s) {
+    shards_[s]->SetQuantizedScan(on, shortlist_multiplier);
+  });
 }
 
 void TabBinService::SetIndexKind(IndexKind kind, int ef_search) {
   options_.index_kind = kind;
   if (ef_search > 0) options_.hnsw_ef_search = ef_search;
-  for (auto& shard : shards_) {
-    shard->SetIndexKind(kind, ef_search);
-  }
+  ForEachShard([&](size_t s) { shards_[s]->SetIndexKind(kind, ef_search); });
 }
 
 // --- Queries --------------------------------------------------------------
@@ -548,11 +560,17 @@ Result<std::unique_ptr<TabBinService>> TabBinService::FromStore(
   // saved one (tombstones, bucket pollution and all).
   auto service = std::make_unique<TabBinService>(system, options,
                                                  static_cast<int>(saved));
+  // The shards' section groups are independent, so they restore all at
+  // once; the lowest failing shard reports, as a serial restore would.
+  std::vector<Status> restored(saved, Status::OK());
+  service->ForEachShard([&](size_t i) {
+    restored[i] = service->shards_[i]->RestoreFromStore(
+        *reader, reader, StoreShardPrefix(static_cast<uint32_t>(i)));
+  });
+  TABBIN_RETURN_IF_ERROR(FirstError(restored));
   size_t total_slots = 0;
-  for (uint32_t i = 0; i < saved; ++i) {
-    TABBIN_RETURN_IF_ERROR(service->shards_[i]->RestoreFromStore(
-        *reader, reader, StoreShardPrefix(i)));
-    total_slots += service->shards_[i]->slot_count();
+  for (const auto& shard : service->shards_) {
+    total_slots += shard->slot_count();
   }
   // A table must be live in exactly one shard; duplicates would leave
   // an unremovable ghost answering under the same id.

@@ -198,9 +198,10 @@ Result<PagedSnapshotReader> PagedSnapshotReader::Open(const std::string& path,
     return Status::ParseError("paged snapshot: directory checksum mismatch");
   }
 
-  // Parse directory entries from a private copy of the header bytes.
-  BinaryReader dir(std::vector<uint8_t>(
-      bytes.data + kFixedHeader, bytes.data + (header - 8)));
+  // Parse directory entries in place; `file` (and with it the bytes)
+  // outlives `dir`.
+  BinaryReader dir(bytes.data + kFixedHeader,
+                   static_cast<size_t>(header - 8 - kFixedHeader));
   PagedSnapshotReader reader;
   reader.sections_.reserve(static_cast<size_t>(count));
   uint64_t prev_end = header;
@@ -324,8 +325,7 @@ Result<ByteSpan> PagedSnapshotReader::SectionSpanUnverified(
 Result<BinaryReader> PagedSnapshotReader::Section(
     const std::string& name) const {
   TABBIN_ASSIGN_OR_RETURN(ByteSpan span, SectionSpan(name));
-  return BinaryReader(
-      std::vector<uint8_t>(span.data, span.data + span.size));
+  return BinaryReader(span.data, span.size);
 }
 
 Status PagedSnapshotReader::ValidateSection(const std::string& name) const {

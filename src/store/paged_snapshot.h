@@ -130,8 +130,9 @@ class PagedSnapshotReader {
   /// ValidateSection/ValidateAll (e.g. `tabbin_cli inspect`).
   Result<ByteSpan> SectionSpanUnverified(const std::string& name) const;
 
-  /// \brief Checksum-validated copy of the payload behind a
-  /// BinaryReader — the parsing path for metadata-sized sections.
+  /// \brief Checksum-validated payload behind a BinaryReader that
+  /// borrows it in place (no copy) — the parsing path for metadata
+  /// sections. The reader must not outlive this PagedSnapshotReader.
   Result<BinaryReader> Section(const std::string& name) const;
 
   /// \brief Forces checksum validation of one / every section.

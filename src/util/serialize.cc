@@ -48,6 +48,14 @@ Result<BinaryReader> BinaryReader::FromFile(const std::string& path,
   return BinaryReader(std::move(buf));
 }
 
+std::vector<uint8_t> BinaryReader::TakeBuffer() && {
+  std::vector<uint8_t> out =
+      borrowed_ ? std::vector<uint8_t>(data_, data_ + size_)
+                : std::move(owned_);
+  *this = BinaryReader(std::vector<uint8_t>{});
+  return out;
+}
+
 Result<std::string> BinaryReader::ReadString() {
   TABBIN_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
   // Compare against the remaining byte count instead of forming
@@ -56,7 +64,7 @@ Result<std::string> BinaryReader::ReadString() {
   if (n > remaining()) {
     return Status::OutOfRange("BinaryReader: string past end of buffer");
   }
-  std::string s(reinterpret_cast<const char*>(buf_.data() + pos_),
+  std::string s(reinterpret_cast<const char*>(data_ + pos_),
                 static_cast<size_t>(n));
   pos_ += static_cast<size_t>(n);
   return s;
@@ -70,7 +78,7 @@ Result<std::vector<float>> BinaryReader::ReadF32Vector() {
   }
   std::vector<float> v(static_cast<size_t>(n));
   if (n > 0) {
-    std::memcpy(v.data(), buf_.data() + pos_,
+    std::memcpy(v.data(), data_ + pos_,
                 static_cast<size_t>(n) * sizeof(float));
     pos_ += static_cast<size_t>(n) * sizeof(float);
   }
@@ -81,8 +89,7 @@ Result<std::vector<uint8_t>> BinaryReader::ReadBytes(uint64_t n) {
   if (n > remaining()) {
     return Status::OutOfRange("BinaryReader: bytes past end of buffer");
   }
-  std::vector<uint8_t> out(buf_.begin() + static_cast<long>(pos_),
-                           buf_.begin() + static_cast<long>(pos_ + n));
+  std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + n);
   pos_ += static_cast<size_t>(n);
   return out;
 }
@@ -91,7 +98,7 @@ Status BinaryReader::ReadI32Into(int32_t* dst, uint64_t n) {
   if (n > remaining() / sizeof(int32_t)) {
     return Status::OutOfRange("BinaryReader: i32 block past end of buffer");
   }
-  std::memcpy(dst, buf_.data() + pos_, n * sizeof(int32_t));
+  if (n > 0) std::memcpy(dst, data_ + pos_, n * sizeof(int32_t));
   pos_ += static_cast<size_t>(n) * sizeof(int32_t);
   return Status::OK();
 }

@@ -50,9 +50,37 @@ class BinaryWriter {
 };
 
 /// \brief Reads primitives back from a byte buffer.
+///
+/// Either owns its bytes (the vector constructor, FromFile) or borrows
+/// them (the pointer constructor): a borrowing reader parses in place,
+/// e.g. straight off a mapped snapshot section, and the caller keeps
+/// the bytes alive and unchanged for the reader's lifetime. Reads behave
+/// the same either way. Move-only; a moved-from reader is empty.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::vector<uint8_t> buf) : buf_(std::move(buf)) {}
+  explicit BinaryReader(std::vector<uint8_t> buf)
+      : owned_(std::move(buf)), data_(owned_.data()), size_(owned_.size()) {}
+  BinaryReader(const uint8_t* data, size_t size)
+      : data_(data), size_(size), borrowed_(true) {}
+
+  BinaryReader(BinaryReader&& other) noexcept { *this = std::move(other); }
+  BinaryReader& operator=(BinaryReader&& other) noexcept {
+    if (this == &other) return *this;
+    owned_ = std::move(other.owned_);
+    // A moved vector keeps its heap block, but re-derive the pointer
+    // rather than rely on that.
+    data_ = other.borrowed_ ? other.data_ : owned_.data();
+    size_ = other.size_;
+    pos_ = other.pos_;
+    borrowed_ = other.borrowed_;
+    other.owned_.clear();
+    other.data_ = nullptr;
+    other.size_ = other.pos_ = 0;
+    other.borrowed_ = false;
+    return *this;
+  }
+  BinaryReader(const BinaryReader&) = delete;
+  BinaryReader& operator=(const BinaryReader&) = delete;
 
   // 1 GiB: generous for every artifact this reader loads (model
   // checkpoints, v1 snapshots), small enough that a hostile path can
@@ -81,14 +109,15 @@ class BinaryReader {
   /// pay Result-wrapping overhead n times.
   Status ReadI32Into(int32_t* dst, uint64_t n);
 
-  bool AtEnd() const { return pos_ == buf_.size(); }
-  /// \brief Moves the whole underlying buffer out, regardless of read
-  /// position (the reader is spent afterwards).
-  std::vector<uint8_t> TakeBuffer() && { return std::move(buf_); }
+  bool AtEnd() const { return pos_ == size_; }
+  /// \brief The whole underlying buffer, regardless of read position
+  /// (the reader is spent afterwards): moved out of an owning reader,
+  /// copied out of a borrowing one.
+  std::vector<uint8_t> TakeBuffer() &&;
   size_t position() const { return pos_; }
   /// \brief Bytes left to read. The `remaining()`-relative bounds checks
-  /// below cannot overflow because pos_ <= buf_.size() is an invariant.
-  size_t remaining() const { return buf_.size() - pos_; }
+  /// below cannot overflow because pos_ <= size_ is an invariant.
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   template <typename T>
@@ -106,7 +135,7 @@ class BinaryReader {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Warray-bounds"
 #endif
-    std::memcpy(&v, buf_.data() + pos_, sizeof(T));
+    std::memcpy(&v, data_ + pos_, sizeof(T));
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -114,8 +143,11 @@ class BinaryReader {
     return v;
   }
 
-  std::vector<uint8_t> buf_;
+  std::vector<uint8_t> owned_;  // empty when borrowed
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
   size_t pos_ = 0;
+  bool borrowed_ = false;
 };
 
 }  // namespace tabbin

@@ -18,13 +18,16 @@
 //     round trip); Compact materializes the mapping away.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/corpus_gen.h"
@@ -945,6 +948,162 @@ TEST(StoreServingTest, MappedLoadResavesIdenticalBytes) {
       EXPECT_TRUE(a == b) << "re-saved store differs (" << a.size() << " vs "
                           << b.size() << " bytes)";
     }
+  }
+}
+
+// Rewrites shard meta `bytes` with one live slot's doc terms mangled
+// by `mangle` (called on the first live slot holding >= 2 terms), every
+// other byte copied through. False when no slot qualifies.
+bool MangleDocTerms(
+    std::vector<uint8_t>* bytes,
+    const std::function<void(std::vector<std::pair<std::string, int32_t>>*)>&
+        mangle) {
+  BinaryReader r(bytes->data(), bytes->size());
+  BinaryWriter w;
+  bool mangled = false;
+  const uint64_t slots = r.ReadU64().value();
+  w.WriteU64(slots);
+  for (uint64_t i = 0; i < slots; ++i) {
+    w.WriteString(r.ReadString().value());
+    const int32_t live = r.ReadI32().value();
+    w.WriteI32(live);
+    w.WriteString(r.ReadString().value());
+    for (int f = 0; f < 7; ++f) w.WriteI32(r.ReadI32().value());
+    for (int f = 0; f < 2; ++f) w.WriteU64(r.ReadU64().value());
+    if (live == 0) continue;
+    std::vector<std::pair<std::string, int32_t>> terms(r.ReadU64().value());
+    for (auto& [term, count] : terms) {
+      term = r.ReadString().value();
+      count = r.ReadI32().value();
+    }
+    if (!mangled && terms.size() >= 2) {
+      mangle(&terms);
+      mangled = true;
+    }
+    w.WriteU64(terms.size());
+    for (const auto& [term, count] : terms) {
+      w.WriteString(term);
+      w.WriteI32(count);
+    }
+  }
+  const std::vector<uint8_t> rest = r.ReadBytes(r.remaining()).value();
+  w.WriteBytes(rest.data(), rest.size());
+  *bytes = std::move(w).TakeBuffer();
+  return mangled;
+}
+
+// The lexical gate binary-searches each slot's doc terms, so the store
+// must hold them strictly ascending: a forged meta whose terms are out
+// of order, or name one term twice, is ParseError.
+TEST_F(ShardedStoreCorruptionTest, DocTermsOutOfOrderOrRepeatedRejected) {
+  // Unmangled, the rewrite reproduces the section exactly.
+  auto same = sections_;
+  StoreSection* meta = FindSection(&same, StoreShardPrefix(0) + "meta");
+  ASSERT_NE(meta, nullptr);
+  const std::vector<uint8_t> original = meta->bytes;
+  ASSERT_TRUE(MangleDocTerms(&meta->bytes, [](auto*) {}));
+  EXPECT_EQ(meta->bytes, original);
+
+  const std::vector<std::pair<
+      std::string,
+      std::function<void(std::vector<std::pair<std::string, int32_t>>*)>>>
+      forgeries = {
+          {"first two terms swapped",
+           [](auto* terms) { std::swap((*terms)[0], (*terms)[1]); }},
+          {"last term moved first",
+           [](auto* terms) {
+             std::rotate(terms->rbegin(), terms->rbegin() + 1,
+                         terms->rend());
+           }},
+          {"second term repeats the first",
+           [](auto* terms) { (*terms)[1].first = (*terms)[0].first; }},
+          {"first term repeated after itself",
+           [](auto* terms) {
+             const auto first = (*terms)[0];
+             terms->insert(terms->begin() + 1, first);
+           }},
+      };
+  for (const auto& [what, mangle] : forgeries) {
+    SCOPED_TRACE(what);
+    auto corrupt = sections_;
+    StoreSection* m = FindSection(&corrupt, StoreShardPrefix(1) + "meta");
+    ASSERT_NE(m, nullptr);
+    ASSERT_TRUE(MangleDocTerms(&m->bytes, mangle));
+    auto loaded = LoadStoreBytes(AssembleStore(corrupt));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("doc terms out of order"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+// Shards restore concurrently, but the error is the one a serial
+// restore would stop at: with groups s1 and s3 both corrupt, every load
+// reports s1, never s3, however the shard threads happen to finish.
+TEST(StoreServingTest, LowestCorruptShardReportsOnEveryLoad) {
+  TabBinService svc(SharedSystem(), {}, 4);
+  ASSERT_TRUE(svc.AddTables(SharedCorpus().corpus.tables).ok());
+  PagedSnapshotWriter w;
+  svc.AppendStore(&w);
+  std::vector<uint8_t> bytes = w.Assemble();
+  {
+    auto reader = OpenBytes(bytes, "two_corrupt_src");
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    int flipped = 0;
+    for (const auto& info : reader.value().sections()) {
+      if (info.name != StoreShardPrefix(1) + "meta" &&
+          info.name != StoreShardPrefix(3) + "meta") {
+        continue;
+      }
+      ASSERT_GT(info.length, 0u);
+      bytes[static_cast<size_t>(info.offset)] ^= 0x5a;  // payload only
+      ++flipped;
+    }
+    ASSERT_EQ(flipped, 2);
+  }
+  const std::string path = "/tmp/tabbin_store_two_corrupt.tbsn";
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  for (int load = 0; load < 20; ++load) {
+    SCOPED_TRACE("load " + std::to_string(load));
+    auto loaded = TabBinService::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(loaded.status().message(),
+              "paged snapshot: checksum mismatch in section '" +
+                  StoreShardPrefix(1) + "meta'");
+  }
+}
+
+// MappedLoadResavesIdenticalBytes at 4 shards: the count the serving
+// benchmark's mapped workload opens, restored on four threads at once.
+TEST(StoreServingTest, MappedLoadResavesIdenticalBytesFourShards) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  for (bool hnsw : {false, true}) {
+    SCOPED_TRACE(hnsw ? "hnsw+int8" : "lsh");
+    TabBinService svc(SharedSystem(), {}, 4);
+    ASSERT_TRUE(svc.AddTables(tables).ok());
+    ASSERT_TRUE(svc.RemoveTable(tables[2].id()).ok());
+    ASSERT_TRUE(svc.AddTables({tables[6]}).ok());  // replaced: tombstone
+    if (hnsw) {
+      svc.SetIndexKind(kIndexHnsw);
+      svc.SetQuantizedScan(true, 4);
+    }
+    const std::string first = "/tmp/tabbin_store_resave4_a.tbsn";
+    const std::string second = "/tmp/tabbin_store_resave4_b.tbsn";
+    ASSERT_TRUE(svc.Save(first).ok());
+    auto mapped = TabBinService::Load(first);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_TRUE(mapped.value()->IsMapped());
+    EXPECT_EQ(mapped.value()->num_shards(), 4);
+    ExpectIdenticalService(svc, *mapped.value());
+    ASSERT_TRUE(mapped.value()->Save(second).ok());
+    const std::vector<uint8_t> a = FileBytes(first);
+    const std::vector<uint8_t> b = FileBytes(second);
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "re-saved store differs (" << a.size() << " vs "
+                        << b.size() << " bytes)";
   }
 }
 

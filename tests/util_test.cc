@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -256,6 +259,138 @@ TEST(SerializeTest, FileRoundTrip) {
 
 TEST(SerializeTest, MissingFileFails) {
   EXPECT_FALSE(BinaryReader::FromFile("/nonexistent/x.bin").ok());
+}
+
+// A borrowing reader parses bytes it does not own (a mapped snapshot
+// section); it must be indistinguishable from an owning reader over the
+// same bytes, except that TakeBuffer has to copy.
+static_assert(!std::is_copy_constructible_v<BinaryReader> &&
+                  !std::is_copy_assignable_v<BinaryReader> &&
+                  std::is_nothrow_move_constructible_v<BinaryReader> &&
+                  std::is_nothrow_move_assignable_v<BinaryReader>,
+              "BinaryReader is move-only");
+
+std::vector<uint8_t> MixedRecord() {
+  BinaryWriter w;
+  w.WriteU32(7);
+  w.WriteI32(-3);
+  w.WriteU64(1ULL << 40);
+  w.WriteI64(-12345);
+  w.WriteF32(1.5f);
+  w.WriteF64(2.25);
+  w.WriteString("a string longer than the small-string buffer");
+  w.WriteF32Vector({1.0f, 2.0f, 3.0f});
+  w.WriteU64(3);
+  w.WriteBytes("xyz", 3);
+  const int32_t ids[4] = {4, -1, 9, 16};
+  w.WriteBytes(ids, sizeof(ids));
+  return std::move(w).TakeBuffer();
+}
+
+// Reads MixedRecord's fields back in order; every value read is
+// appended to `out` as text so two readers can be compared whole.
+void ReadMixedRecord(BinaryReader* r, std::vector<std::string>* out) {
+  out->push_back(std::to_string(r->ReadU32().value()));
+  out->push_back(std::to_string(r->ReadI32().value()));
+  out->push_back(std::to_string(r->ReadU64().value()));
+  out->push_back(std::to_string(r->ReadI64().value()));
+  out->push_back(std::to_string(r->ReadF32().value()));
+  out->push_back(std::to_string(r->ReadF64().value()));
+  out->push_back(r->ReadString().value());
+  const std::vector<float> floats = r->ReadF32Vector().value();
+  for (float f : floats) out->push_back(std::to_string(f));
+  const uint64_t n = r->ReadU64().value();
+  const std::vector<uint8_t> raw = r->ReadBytes(n).value();
+  out->push_back(std::string(raw.begin(), raw.end()));
+  int32_t ids[4] = {};
+  ASSERT_TRUE(r->ReadI32Into(ids, 4).ok());
+  for (int32_t id : ids) out->push_back(std::to_string(id));
+}
+
+TEST(SerializeTest, BorrowedReaderReadsWhatOwnedReaderReads) {
+  const std::vector<uint8_t> bytes = MixedRecord();
+  BinaryReader owned(bytes);
+  BinaryReader borrowed(bytes.data(), bytes.size());
+  std::vector<std::string> a, b;
+  ReadMixedRecord(&owned, &a);
+  ReadMixedRecord(&borrowed, &b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a[6], "a string longer than the small-string buffer");
+  EXPECT_TRUE(owned.AtEnd());
+  EXPECT_TRUE(borrowed.AtEnd());
+  EXPECT_EQ(owned.position(), borrowed.position());
+}
+
+TEST(SerializeTest, BorrowedReaderEveryReadPastEndIsOutOfRange) {
+  const std::vector<uint8_t> bytes = MixedRecord();
+  // Every prefix of the record, read through a borrowing reader: the
+  // first read that needs bytes beyond the prefix fails OutOfRange,
+  // and so does every kind of read at the end.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE("prefix of " + std::to_string(cut) + " bytes");
+    BinaryReader r(bytes.data(), cut);
+    StatusCode code = StatusCode::kOk;
+    const auto check = [&](const Status& st) {
+      if (code == StatusCode::kOk && !st.ok()) code = st.code();
+    };
+    check(r.ReadU32().status());
+    check(r.ReadI32().status());
+    check(r.ReadU64().status());
+    check(r.ReadI64().status());
+    check(r.ReadF32().status());
+    check(r.ReadF64().status());
+    check(r.ReadString().status());
+    check(r.ReadF32Vector().status());
+    auto n = r.ReadU64();
+    check(n.status());
+    if (n.ok()) check(r.ReadBytes(n.value()).status());
+    int32_t ids[4] = {};
+    check(r.ReadI32Into(ids, 4));
+    EXPECT_EQ(code, StatusCode::kOutOfRange);
+    EXPECT_LE(r.position(), cut);
+  }
+  BinaryReader end(bytes.data() + bytes.size(), 0);
+  EXPECT_TRUE(end.AtEnd());
+  EXPECT_EQ(end.ReadU32().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadI32().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadU64().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadI64().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadF32().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadF64().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadString().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadF32Vector().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(end.ReadBytes(1).status().code(), StatusCode::kOutOfRange);
+  int32_t one = 0;
+  EXPECT_EQ(end.ReadI32Into(&one, 1).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(end.ReadBytes(0).ok());
+}
+
+TEST(SerializeTest, BorrowedTakeBufferCopiesAndMovesKeepTheView) {
+  std::vector<uint8_t> bytes = MixedRecord();
+  const std::vector<uint8_t> original = bytes;
+  BinaryReader r(bytes.data(), bytes.size());
+  ASSERT_TRUE(r.ReadU32().ok());  // TakeBuffer ignores the position
+
+  // A moved reader carries its view and position; the source is empty.
+  // The view is live: it reads the borrowed bytes as they are now.
+  BinaryReader moved(std::move(r));
+  EXPECT_EQ(moved.position(), 4u);
+  bytes[4] = 0x05;  // the i32 at offset 4 was -3, 0xfffffffd
+  EXPECT_EQ(moved.ReadI32().value(), -251);  // 0xffffff05
+  bytes[4] = original[4];
+  EXPECT_TRUE(r.AtEnd());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(r.ReadU32().status().code(), StatusCode::kOutOfRange);
+
+  std::vector<uint8_t> taken = std::move(moved).TakeBuffer();
+  EXPECT_EQ(taken, original);
+  EXPECT_NE(taken.data(), bytes.data());
+  // The copy is independent of the borrowed bytes.
+  bytes[0] ^= 0xff;
+  EXPECT_EQ(taken, original);
+
+  // An owning reader still hands its own buffer over.
+  BinaryReader owning(original);
+  EXPECT_EQ(std::move(owning).TakeBuffer(), original);
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
