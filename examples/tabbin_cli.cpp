@@ -320,9 +320,12 @@ int CmdBuildService(const std::string& corpus_path, const std::string& out,
                 stats[static_cast<size_t>(v)].initial_loss,
                 stats[static_cast<size_t>(v)].final_loss);
   }
-  ServiceOptions opts;
-  opts.encoder_cache_capacity = corpus.value().tables.size();
-  std::unique_ptr<TabBinServing> service = MakeServing(sys, shards, opts);
+  // Default options: the encoder cache capacity is persisted in the
+  // store and re-applied on load, and AddTables never fills the cache,
+  // so sizing it to the corpus would only hand every reader of the store
+  // an oversized read cache.
+  std::unique_ptr<TabBinServing> service =
+      MakeServing(sys, shards, ServiceOptions{});
   auto report = service->AddTables(corpus.value().tables);
   if (!report.ok()) {
     std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());

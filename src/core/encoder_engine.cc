@@ -241,6 +241,15 @@ std::shared_ptr<const TableEncodings> EncoderEngine::Encode(
   return enc;
 }
 
+std::shared_ptr<const TableEncodings> EncoderEngine::Find(
+    const Table& table) {
+  const uint64_t key = TableFingerprint(table);
+  MutexLock lock(&mu_);
+  auto hit = LookupLocked(key);
+  if (hit) ++hits_;
+  return hit;
+}
+
 std::vector<std::shared_ptr<const TableEncodings>> EncoderEngine::EncodeBatch(
     const std::vector<Table>& tables) {
   std::vector<const Table*> ptrs;

@@ -49,6 +49,13 @@ class EncoderEngine {
   std::shared_ptr<const TableEncodings> Encode(const Table& table)
       TABBIN_EXCLUDES(mu_);
 
+  /// \brief Non-inserting lookup: the cached encoding of `table` (counted
+  /// as a hit and refreshed in the LRU), or nullptr. A miss runs no
+  /// forward pass and is not counted; callers that encode the table
+  /// themselves keep the result out of the cache.
+  std::shared_ptr<const TableEncodings> Find(const Table& table)
+      TABBIN_EXCLUDES(mu_);
+
   /// \brief Encodes all tables, computing cache misses in parallel on the
   /// global thread pool. Results are positionally aligned with `tables`
   /// and bitwise identical to serial Encode calls.

@@ -27,6 +27,13 @@ inline constexpr int kMaxShards = 4096;
 struct ServiceOptions {
   /// EncoderEngine LRU capacity; 0 means auto — the cache grows with
   /// the corpus (every AddTables reserves room for all live tables).
+  /// The cache holds token-level encodings (about 51 KB per table,
+  /// serialized, at the serving bench's geometry) and fills only from
+  /// reads that encode: inline query tables and id-addressed queries
+  /// whose stored vector must be re-derived. AddTables reads it (a
+  /// prewarmed table skips its forward passes) but never inserts, so a
+  /// large corpus does not need a large cache. Persisted in the service
+  /// store and re-applied on load.
   size_t encoder_cache_capacity = 1024;
   /// LSH blocking geometry shared by the three per-task indexes. The
   /// seed is part of the service identity: every shard builds its

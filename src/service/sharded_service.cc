@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <future>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "store/paged_snapshot.h"
@@ -144,10 +145,6 @@ Result<AddReport> TabBinService::AddTables(const std::vector<Table>& tables) {
   AddReport report;
   if (tables.empty()) return report;
   const size_t count = tables.size();
-  // Per-table work runs in the pool; a small grain spreads even a short
-  // batch over every worker.
-  constexpr size_t kGrain = 8;
-
   std::vector<Status> valid(count);
   std::vector<std::string> ids(count);
   ParallelFor(
@@ -156,7 +153,7 @@ Result<AddReport> TabBinService::AddTables(const std::vector<Table>& tables) {
         valid[i] = tables[i].Validate();
         if (valid[i].ok()) ids[i] = CanonicalTableId(tables[i]);
       },
-      kGrain);
+      /*grain=*/8);
   for (size_t i = 0; i < count; ++i) {
     if (!valid[i].ok()) {
       return Status::InvalidArgument("AddTables: table '" + tables[i].id() +
@@ -166,35 +163,35 @@ Result<AddReport> TabBinService::AddTables(const std::vector<Table>& tables) {
 
   if (options_.encoder_cache_capacity == 0) {
     // Documented auto mode: the cache grows with the corpus so steady-
-    // state queries never re-run forward passes. Reserved before the
-    // encode, or a first batch larger than the starting capacity would
-    // evict its own encodings.
+    // state queries never re-run forward passes once they have encoded
+    // a table.
     size_t slots = 0;
     for (const auto& shard : shards_) slots += shard->slot_count();
     engine_->Reserve(slots + count);
   }
 
-  // Encode and prepare the batch before any shard lock is taken:
-  // forward passes are the expensive part and the engine has its own
-  // synchronization, so readers keep being served while new tables
-  // encode. Embeddings, bucket keys, doc term counts and the table copy
-  // are derived outside the locks too; each shard's writer critical
-  // section is appends only.
-  auto encodings = engine_->EncodeBatch(tables);
+  // Encode and prepare each table in one pass, before any shard lock is
+  // taken: forward passes are the expensive part, so readers keep being
+  // served while new tables encode. Embeddings, bucket keys, doc term
+  // counts and the table copy are derived outside the locks too; each
+  // shard's writer critical section is appends only. A table's token
+  // states live only until its PreparedTable is derived, so at most one
+  // per worker is alive, and the cache is only read here: it fills from
+  // the queries that use it, not from the corpus. A prewarmed (or warm-
+  // started) cache still saves the forward passes.
   std::vector<Result<ServiceShard::PreparedTable>> prepared(
       count, Status::Internal("AddTables: table not prepared"));
   ParallelFor(
       0, count,
       [&](size_t i) {
+        std::optional<TableEncodings> fresh;
+        auto cached = engine_->Find(tables[i]);
+        if (!cached) fresh = system_->EncodeAll(tables[i]);
         prepared[i] = ServiceShard::Prepare(*system_, options_, hashers_,
                                             tables[i], std::move(ids[i]),
-                                            *encodings[i]);
+                                            cached ? *cached : *fresh);
       },
-      kGrain);
-
-  // The cache keeps the encodings it has room for; drop the batch's own
-  // references before the shards grow, so the rest are freed first.
-  encodings = {};
+      /*grain=*/1);
 
   // Group by owning shard, preserving batch order within each group so
   // same-id replacement semantics inside one batch are unchanged.

@@ -25,10 +25,11 @@
 // byte-identical at every shard count (tests/sharded_service_test.cc
 // pins N ∈ {3, 8} against N = 1).
 //
-// Incremental updates: AddTables encodes new tables through
-// EncoderEngine::EncodeBatch, prepares each one in the thread pool
-// (embeddings, LSH keys, Ask term counts) and inserts into every owning
-// shard in parallel — no full rebuild. RemoveTable tombstones; dead
+// Incremental updates: AddTables encodes and prepares each new table in
+// one thread-pool pass (embeddings, LSH keys, Ask term counts; a table
+// already in the encoder cache is not re-encoded, and a fresh encoding
+// is dropped once prepared rather than cached) and inserts into every
+// owning shard in parallel — no full rebuild. RemoveTable tombstones; dead
 // entries are filtered out of every response until Compact.
 //
 // Thread-safety: queries (Similar* / Ask and the *Embedding accessors)

@@ -1,7 +1,9 @@
 #include "util/threadpool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <utility>
 
 namespace tabbin {
 
@@ -92,39 +94,51 @@ void ParallelFor(size_t begin, size_t end,
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, size_t grain) {
   if (end <= begin) return;
-  size_t n = end - begin;
-  size_t workers = pool.num_threads();
+  grain = std::max<size_t>(grain, 1);
+  const size_t n = end - begin;
+  const size_t workers = pool.num_threads();
   if (n <= grain || workers <= 1 || ThreadPool::InPoolWorker()) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  size_t chunks = std::min(workers * 2, (n + grain - 1) / grain);
-  size_t chunk_size = (n + chunks - 1) / chunks;
+  // One task per worker; each claims the next grain-sized block from a
+  // shared cursor until none is left, so a slow index holds up only its
+  // own block instead of a fixed share of the range.
+  const size_t blocks = (n + grain - 1) / grain;
+  const size_t tasks = std::min(workers, blocks);
+  std::atomic<size_t> cursor{0};
+  // Per task: the first (so lowest) block that threw, and its exception.
+  // A throw ends only its own block; the task keeps claiming, so every
+  // other block still runs.
+  std::vector<std::pair<size_t, std::exception_ptr>> failed(tasks);
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t lo = begin + c * chunk_size;
-    size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    futures.push_back(pool.Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
+  futures.reserve(tasks);
+  for (size_t t = 0; t < tasks; ++t) {
+    futures.push_back(pool.Submit([&, t] {
+      for (;;) {
+        const size_t b = cursor.fetch_add(1);
+        if (b >= blocks) return;
+        const size_t lo = begin + b * grain;
+        const size_t hi = std::min(end, lo + grain);
+        try {
+          for (size_t i = lo; i < hi; ++i) fn(i);
+        } catch (...) {
+          if (!failed[t].second) failed[t] = {b, std::current_exception()};
+        }
+      }
     }));
   }
-  // Drain EVERY chunk before letting any exception escape: the chunk
-  // lambdas hold fn by reference, so unwinding past this frame (and the
-  // caller's, which typically owns the std::function) while chunks are
-  // still queued would have them call through a dangling reference.
-  // Only the first exception propagates; later ones are swallowed with
-  // their chunks already safely finished.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
+  // Join EVERY task before letting any exception escape: the tasks hold
+  // fn, the cursor and `failed` by reference, so unwinding past this
+  // frame (and the caller's, which typically owns the std::function)
+  // while tasks still run would leave them on dangling references. The
+  // lowest failing block's exception propagates, whatever the schedule.
+  for (auto& f : futures) f.get();
+  const std::pair<size_t, std::exception_ptr>* first = nullptr;
+  for (const auto& f : failed) {
+    if (f.second && (first == nullptr || f.first < first->first)) first = &f;
   }
-  if (first) std::rethrow_exception(first);
+  if (first != nullptr) std::rethrow_exception(first->second);
 }
 
 }  // namespace tabbin

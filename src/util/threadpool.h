@@ -66,13 +66,19 @@ class ThreadPool {
 
 /// \brief Runs fn(i) for i in [begin, end) across the global pool.
 ///
-/// Falls back to a serial loop for small ranges, when called from a
-/// pool worker (nested fan-out would deadlock once every worker blocks
-/// on chunks only the pool could run), or when the pool has one worker.
-/// If fn throws, every already-submitted chunk is drained before the
-/// first exception propagates — chunks capture fn by reference, so
-/// unwinding while chunks are still queued would leave them invoking a
-/// dangling reference.
+/// Each worker claims `grain`-sized blocks of the range (grain 0 counts
+/// as 1) from one shared cursor until the range is exhausted, so uneven
+/// per-index costs balance across the workers. Every index runs exactly
+/// once; which thread runs it depends on the schedule.
+///
+/// Falls back to a serial loop for ranges of at most one block, when
+/// called from a pool worker (nested fan-out would deadlock once every
+/// worker blocks on tasks only the pool could run), or when the pool has
+/// one worker. If fn throws, the rest of that block is skipped, every
+/// other block still runs, and the lowest failing block's exception
+/// propagates once all workers are done — they reference fn, so
+/// unwinding while they still run would leave them invoking a dangling
+/// reference.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn,
                  size_t grain = 1024);

@@ -17,6 +17,7 @@
 #include "datagen/corpus_gen.h"
 #include "exec/executor.h"
 #include "service/sharded_service.h"
+#include "store/paged_snapshot.h"
 
 namespace tabbin {
 namespace {
@@ -76,9 +77,11 @@ TEST(TabBinServiceTest, AddTablesReportsAndIndexes) {
 }
 
 // The auto-sized encoder cache (encoder_cache_capacity = 0) grows with
-// the corpus: a first batch larger than its starting capacity of 256
-// must keep every encoding, so re-embedding the corpus runs no forward
-// pass.
+// the corpus. AddTables never fills it: the 300 encodings it needs die
+// once their tables are prepared. The first re-embedding pass encodes
+// every table once and must keep every encoding although the batch is
+// larger than the starting capacity of 256, so a second pass runs no
+// forward pass.
 TEST(TabBinServiceTest, AutoEncoderCacheKeepsAFirstBatchBeyond256) {
   GeneratorOptions gen;
   gen.num_tables = 300;
@@ -90,10 +93,57 @@ TEST(TabBinServiceTest, AutoEncoderCacheKeepsAFirstBatchBeyond256) {
   options.encoder_cache_capacity = 0;
   auto svc = std::make_unique<TabBinService>(SharedSystem(), options);
   ASSERT_TRUE(svc->AddTables(tables).ok());
-  EXPECT_EQ(svc->engine().size(), 300u);
+  EXPECT_EQ(svc->engine().size(), 0u);
   const size_t misses = svc->engine().misses();
   for (const Table& t : tables) (void)svc->TableEmbedding(t);
+  EXPECT_EQ(svc->engine().misses(), misses + 300);
+  EXPECT_EQ(svc->engine().size(), 300u);
+  for (const Table& t : tables) (void)svc->TableEmbedding(t);
+  EXPECT_EQ(svc->engine().misses(), misses + 300);
+}
+
+// AddTables reads the encoder cache but never fills it: on a cold
+// engine it encodes every table itself and leaves nothing behind.
+TEST(TabBinServiceTest, AddTablesLeavesTheEncoderCacheEmpty) {
+  auto svc = MakeService();
+  ASSERT_TRUE(svc->AddTables(SharedCorpus().corpus.tables).ok());
+  EXPECT_EQ(svc->engine().size(), 0u);
+  EXPECT_EQ(svc->engine().hits(), 0u);
+  EXPECT_EQ(svc->engine().misses(), 0u);
+}
+
+// A prewarmed engine still saves AddTables every forward pass: each
+// table is one cache hit and no miss.
+TEST(TabBinServiceTest, AddTablesUsesAPrewarmedEncoderCache) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  auto svc = MakeService();
+  svc->engine().EncodeBatch(tables);
+  const size_t hits = svc->engine().hits();
+  const size_t misses = svc->engine().misses();
+  ASSERT_EQ(misses, tables.size());
+  ASSERT_TRUE(svc->AddTables(tables).ok());
   EXPECT_EQ(svc->engine().misses(), misses);
+  EXPECT_EQ(svc->engine().hits(), hits + tables.size());
+  EXPECT_EQ(svc->engine().size(), tables.size());
+}
+
+// Cached and fresh encodings are the same bits, so a service indexed
+// from a prewarmed cache stores exactly what a cold one stores.
+TEST(TabBinServiceTest, PrewarmedAndColdServicesSaveIdenticalStores) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  auto cold = std::make_unique<TabBinService>(SharedSystem(),
+                                              ServiceOptions{}, 3);
+  auto warm = std::make_unique<TabBinService>(SharedSystem(),
+                                              ServiceOptions{}, 3);
+  warm->engine().EncodeBatch(tables);
+  ASSERT_TRUE(cold->AddTables(tables).ok());
+  ASSERT_TRUE(warm->AddTables(tables).ok());
+  ASSERT_EQ(warm->engine().misses(), tables.size());
+  PagedSnapshotWriter cold_store;
+  PagedSnapshotWriter warm_store;
+  cold->AppendStore(&cold_store);
+  warm->AppendStore(&warm_store);
+  EXPECT_EQ(cold_store.Assemble(), warm_store.Assemble());
 }
 
 TEST(TabBinServiceTest, SimilarTablesExcludesSelfAndDeadEntries) {

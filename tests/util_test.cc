@@ -8,7 +8,9 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -408,6 +410,45 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(500);
   ParallelFor(0, 500, [&hits](size_t i) { hits[i]++; }, /*grain=*/16);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Workers claim blocks dynamically, so a few slow indices must neither
+// drop nor repeat any index: grain 1, a grain past the range (inline),
+// and a range that is not a multiple of the grain (short last block).
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexOnceUnderUnevenCost) {
+  ThreadPool pool(4);
+  for (const auto& [n, grain] : std::vector<std::pair<size_t, size_t>>{
+           {203, 1}, {50, 64}, {1001, 16}, {97, 0}}) {
+    std::vector<std::atomic<int>> hits(n);
+    ParallelFor(
+        pool, 0, n,
+        [&hits](size_t i) {
+          if (i % 17 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+          }
+          hits[i]++;
+        },
+        grain);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n " << n << " grain " << grain
+                                   << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForOnOneWorkerPoolRunsInline) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  ParallelFor(
+      pool, 0, 100,
+      [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      },
+      /*grain=*/1);
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
