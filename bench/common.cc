@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "store/paged_snapshot.h"
 #include "util/logging.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 namespace bench {
@@ -92,7 +92,7 @@ BenchEnv::BenchEnv(const std::string& dataset, const ModelSet& models,
   // them replaces pretraining entirely.
   bool warm = false;
   if (models.tabbin && !snap_path.empty()) {
-    auto snapshot = SnapshotReader::FromFile(snap_path);
+    auto snapshot = PagedSnapshotReader::Open(snap_path);
     if (snapshot.ok()) {
       auto sys = TabBiNSystem::FromSnapshot(snapshot.value());
       if (sys.ok() && sys.value().config() != cfg) {
@@ -161,7 +161,7 @@ BenchEnv::BenchEnv(const std::string& dataset, const ModelSet& models,
   }
   if (models.tabbin) PrewarmEncodings();
   if (models.tabbin && !warm && !snap_path.empty()) {
-    SnapshotWriter snapshot;
+    PagedSnapshotWriter snapshot;
     tabbin_->AppendTo(&snapshot);
     service_->engine().AppendCacheTo(&snapshot);
     Status st = snapshot.ToFile(snap_path);

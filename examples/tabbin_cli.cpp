@@ -2,18 +2,20 @@
 //
 //   tabbin_cli generate <dataset> <num_tables> <out.json>
 //       Generate a labeled synthetic corpus and save it as JSON.
-//   tabbin_cli pretrain <corpus.json> <model_prefix>
-//       Train the four TabBiN models and write checkpoints + vocabulary.
-//   tabbin_cli encode <corpus.json> <model_prefix> <table_index>
+//   tabbin_cli pretrain <corpus.json> <model.tbsn>
+//       Train the four TabBiN models and write them, with the vocabulary
+//       and type lexicon, as one model snapshot.
+//   tabbin_cli encode <corpus.json> <model.tbsn> <table_index>
 //       Print the TC composite embedding of one table.
 //   tabbin_cli eval <corpus.json>
 //       Pretrain in-memory and report CC/TC MAP@20 / MRR@20.
 //   tabbin_cli save-model <corpus.json> <model.tbsn>
-//       Pretrain, encode the corpus, and write one versioned snapshot
-//       (models + vocabulary + cached table encodings).
+//       Pretrain, encode the corpus, and write one model snapshot
+//       (models + vocabulary + cached table encodings). `query` does
+//       not open it: it is not a service store.
 //   tabbin_cli load-model <model.tbsn> <corpus.json>
-//       Warm-start from a snapshot (no pretraining, cached encodings)
-//       and report TC MAP@20 / MRR@20.
+//       Warm-start from a model snapshot (no pretraining, cached
+//       encodings) and report TC MAP@20 / MRR@20.
 //   tabbin_cli build-service [--shards=N] <corpus.json> <service.tbsn>
 //       Pretrain, index the corpus in a TabBinService (--shards=N
 //       hash-partitions it across N shards; default 1), and snapshot
@@ -38,10 +40,10 @@
 //   tabbin_cli inspect <corpus.json> <table_index>
 //       Print a table as CSV plus its coordinate trees.
 //   tabbin_cli inspect <snapshot.tbsn | generation_dir>
-//       Print a snapshot's format version and section table (name,
-//       offset, size, alignment, checksum verdict); for a generation
-//       directory, the manifest state first. Validates every section
-//       checksum, exit 1 on any mismatch.
+//       Print a snapshot's section table (name, offset, size,
+//       alignment, checksum verdict); for a generation directory, the
+//       manifest state first. Validates every section checksum, exit 1
+//       on any mismatch.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -64,7 +66,6 @@
 #include "service/sharded_service.h"
 #include "store/generation.h"
 #include "store/paged_snapshot.h"
-#include "util/snapshot.h"
 #include "table/bicoord.h"
 #include "tasks/clustering.h"
 #include "tasks/pipelines.h"
@@ -87,8 +88,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  tabbin_cli generate <dataset> <num_tables> <out.json>\n"
-               "  tabbin_cli pretrain <corpus.json> <model_prefix>\n"
-               "  tabbin_cli encode <corpus.json> <model_prefix> <index>\n"
+               "  tabbin_cli pretrain <corpus.json> <model.tbsn>\n"
+               "  tabbin_cli encode <corpus.json> <model.tbsn> <index>\n"
                "  tabbin_cli eval <corpus.json>\n"
                "  tabbin_cli save-model <corpus.json> <model.tbsn>\n"
                "  tabbin_cli load-model <model.tbsn> <corpus.json>\n"
@@ -137,7 +138,7 @@ int CmdGenerate(const std::string& dataset, int n, const std::string& out) {
 
 Result<Corpus> LoadOrDie(const std::string& path) { return LoadCorpus(path); }
 
-int CmdPretrain(const std::string& corpus_path, const std::string& prefix) {
+int CmdPretrain(const std::string& corpus_path, const std::string& out) {
   auto corpus = LoadOrDie(corpus_path);
   if (!corpus.ok()) {
     std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
@@ -150,23 +151,17 @@ int CmdPretrain(const std::string& corpus_path, const std::string& prefix) {
     std::printf("%-12s loss %.3f -> %.3f\n", name,
                 stats[static_cast<size_t>(v)].initial_loss,
                 stats[static_cast<size_t>(v)].final_loss);
-    Status st = sys.model(static_cast<TabBiNVariant>(v))
-                    ->Save(prefix + "." + name + ".bin");
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
   }
-  Status st = sys.vocab().Save(prefix + ".vocab.bin");
+  Status st = sys.Save(out);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("checkpoints written with prefix %s\n", prefix.c_str());
+  std::printf("model snapshot written to %s\n", out.c_str());
   return 0;
 }
 
-int CmdEncode(const std::string& corpus_path, const std::string& prefix,
+int CmdEncode(const std::string& corpus_path, const std::string& model_path,
               int index) {
   auto corpus = LoadOrDie(corpus_path);
   if (!corpus.ok()) {
@@ -177,24 +172,14 @@ int CmdEncode(const std::string& corpus_path, const std::string& prefix,
     std::fprintf(stderr, "error: index out of range\n");
     return 1;
   }
-  auto vocab = Vocab::Load(prefix + ".vocab.bin");
-  if (!vocab.ok()) {
-    std::fprintf(stderr, "error: %s\n", vocab.status().ToString().c_str());
+  auto sys = TabBiNSystem::Load(model_path);
+  if (!sys.ok()) {
+    std::fprintf(stderr, "error: %s\n", sys.status().ToString().c_str());
     return 1;
   }
-  TabBiNSystem sys(CliConfig(), std::move(vocab).value());
-  for (int v = 0; v < 4; ++v) {
-    const char* name = TabBiNVariantName(static_cast<TabBiNVariant>(v));
-    Status st = sys.model(static_cast<TabBiNVariant>(v))
-                    ->Load(prefix + "." + name + ".bin");
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-  }
   const Table& t = corpus.value().tables[static_cast<size_t>(index)];
-  TableEncodings enc = sys.EncodeAll(t);
-  std::vector<float> emb = sys.TableComposite1(enc);
+  TableEncodings enc = sys.value().EncodeAll(t);
+  std::vector<float> emb = sys.value().TableComposite1(enc);
   std::printf("# table %d: %s\n", index, t.caption().c_str());
   for (size_t i = 0; i < emb.size(); ++i) {
     std::printf("%s%.6f", i ? " " : "", emb[i]);
@@ -249,7 +234,7 @@ int CmdSaveModel(const std::string& corpus_path, const std::string& out) {
   // the way through (no forward passes on load).
   EncoderEngine engine(&sys, corpus.value().tables.size());
   engine.EncodeBatch(corpus.value().tables);
-  SnapshotWriter snapshot;
+  PagedSnapshotWriter snapshot;
   sys.AppendTo(&snapshot);
   engine.AppendCacheTo(&snapshot);
   Status st = snapshot.ToFile(out);
@@ -269,7 +254,7 @@ int CmdLoadModel(const std::string& snapshot_path,
     std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
     return 1;
   }
-  auto snapshot = SnapshotReader::FromFile(snapshot_path);
+  auto snapshot = PagedSnapshotReader::Open(snapshot_path);
   if (!snapshot.ok()) {
     std::fprintf(stderr, "error: %s\n", snapshot.status().ToString().c_str());
     return 1;
@@ -543,30 +528,6 @@ int CmdInspectSnapshot(const std::string& path) {
       return 1;
     }
     file = resolved.value();
-  }
-  auto version = PeekSnapshotVersion(file);
-  if (!version.ok()) {
-    std::fprintf(stderr, "error: %s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (version.value() < 2) {
-    // v1 stream: opening validates the whole-file checksum, so a
-    // successful load already vouches for every byte.
-    auto snapshot = SnapshotReader::FromFile(file);
-    if (!snapshot.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   snapshot.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s: TBSN v1 stream (whole-file checksum ok)\n",
-                file.c_str());
-    std::printf("  %-28s %12s\n", "section", "bytes");
-    for (const std::string& name : snapshot.value().SectionNames()) {
-      auto r = snapshot.value().Section(name);
-      std::printf("  %-28s %12zu\n", name.c_str(),
-                  r.ok() ? r.value().remaining() : size_t{0});
-    }
-    return 0;
   }
   auto reader = PagedSnapshotReader::Open(file);
   if (!reader.ok()) {

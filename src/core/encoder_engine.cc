@@ -129,7 +129,7 @@ void EncoderEngine::InsertLocked(uint64_t key,
   }
 }
 
-void EncoderEngine::AppendCacheTo(SnapshotWriter* snapshot) const {
+void EncoderEngine::AppendCacheTo(PagedSnapshotWriter* snapshot) const {
   BinaryWriter* w = snapshot->AddSection("encoder.cache");
   MutexLock lock(&mu_);
   w->WriteU64(cache_.size());
@@ -141,7 +141,8 @@ void EncoderEngine::AppendCacheTo(SnapshotWriter* snapshot) const {
   }
 }
 
-Result<size_t> EncoderEngine::WarmStart(const SnapshotReader& snapshot) {
+Result<size_t> EncoderEngine::WarmStart(
+    const PagedSnapshotReader& snapshot) {
   if (!snapshot.HasSection("encoder.cache")) return static_cast<size_t>(0);
   TABBIN_ASSIGN_OR_RETURN(BinaryReader r, snapshot.Section("encoder.cache"));
   TABBIN_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
@@ -174,18 +175,6 @@ Result<size_t> EncoderEngine::WarmStart(const SnapshotReader& snapshot) {
     ++loaded;
   }
   return loaded;
-}
-
-Status EncoderEngine::SaveCache(const std::string& path) const {
-  SnapshotWriter snapshot;
-  AppendCacheTo(&snapshot);
-  return snapshot.ToFile(path);
-}
-
-Result<size_t> EncoderEngine::LoadCache(const std::string& path) {
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(path));
-  return WarmStart(snapshot);
 }
 
 std::shared_ptr<const TableEncodings> EncoderEngine::Encode(

@@ -83,7 +83,8 @@ class EncoderEngine {
   /// \brief Appends every cached encoding (fingerprint + TableEncodings)
   /// to the snapshot (section "encoder.cache"), least recently used
   /// first so a reload reproduces the recency order.
-  void AppendCacheTo(SnapshotWriter* snapshot) const TABBIN_EXCLUDES(mu_);
+  void AppendCacheTo(PagedSnapshotWriter* snapshot) const
+      TABBIN_EXCLUDES(mu_);
 
   /// \brief Prepopulates the LRU from a snapshot's "encoder.cache"
   /// section; subsequent Encode calls on the same tables are cache hits
@@ -91,12 +92,8 @@ class EncoderEngine {
   /// engine's system (hidden width, token/hidden row agreement) are a
   /// Status error. Returns the number of entries loaded; a snapshot
   /// without the section loads 0.
-  Result<size_t> WarmStart(const SnapshotReader& snapshot)
+  Result<size_t> WarmStart(const PagedSnapshotReader& snapshot)
       TABBIN_EXCLUDES(mu_);
-
-  /// \brief File wrappers over AppendCacheTo/WarmStart.
-  Status SaveCache(const std::string& path) const;
-  Result<size_t> LoadCache(const std::string& path);
 
  private:
   struct Entry {

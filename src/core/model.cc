@@ -58,13 +58,4 @@ void TabBiNModel::CollectParameters(const std::string& prefix,
   num_head_->CollectParameters(prefix + "num.", out);
 }
 
-Status TabBiNModel::Save(const std::string& path) const {
-  return SaveParameters(Parameters(), path);
-}
-
-Status TabBiNModel::Load(const std::string& path) {
-  ParameterMap params = Parameters();
-  return LoadParameters(path, &params);
-}
-
 }  // namespace tabbin

@@ -47,9 +47,6 @@ class TabBiNModel : public Module {
   TabBiNVariant variant() const { return variant_; }
   int vocab_size() const { return vocab_size_; }
 
-  Status Save(const std::string& path) const;
-  Status Load(const std::string& path);
-
  private:
   TabBiNConfig config_;
   TabBiNVariant variant_;

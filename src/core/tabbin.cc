@@ -3,7 +3,7 @@
 #include <cmath>
 #include <functional>
 
-#include "store/snapshot_bridge.h"
+#include "store/generation.h"
 #include "text/wordpiece.h"
 
 namespace tabbin {
@@ -316,7 +316,7 @@ Result<TabBiNConfig> DeserializeConfig(BinaryReader* r) {
 
 }  // namespace
 
-void TabBiNSystem::AppendTo(SnapshotWriter* snapshot) const {
+void TabBiNSystem::AppendTo(PagedSnapshotWriter* snapshot) const {
   SerializeConfig(config_, snapshot->AddSection("tabbin.config"));
   vocab_.Serialize(snapshot->AddSection("tabbin.vocab"));
   typer_.Serialize(snapshot->AddSection("tabbin.typer"));
@@ -330,7 +330,7 @@ void TabBiNSystem::AppendTo(SnapshotWriter* snapshot) const {
 }
 
 Result<TabBiNSystem> TabBiNSystem::FromSnapshot(
-    const SnapshotReader& snapshot) {
+    const PagedSnapshotReader& snapshot) {
   TABBIN_ASSIGN_OR_RETURN(BinaryReader cfg_r,
                           snapshot.Section("tabbin.config"));
   TABBIN_ASSIGN_OR_RETURN(TabBiNConfig config, DeserializeConfig(&cfg_r));
@@ -356,25 +356,15 @@ Result<TabBiNSystem> TabBiNSystem::FromSnapshot(
 }
 
 Status TabBiNSystem::Save(const std::string& path) const {
-  SnapshotWriter snapshot;
+  PagedSnapshotWriter snapshot;
   AppendTo(&snapshot);
   return snapshot.ToFile(path);
 }
 
 Result<TabBiNSystem> TabBiNSystem::Load(const std::string& path) {
   TABBIN_ASSIGN_OR_RETURN(std::string file, ResolveSnapshotPath(path));
-  TABBIN_ASSIGN_OR_RETURN(uint32_t version, PeekSnapshotVersion(file));
-  if (version >= 2) {
-    // A v2 paged store carries the model sections verbatim; the system
-    // itself is metadata-sized, so load it through the bridge copy
-    // rather than holding the whole mapping alive.
-    TABBIN_ASSIGN_OR_RETURN(PagedSnapshotReader r,
-                            PagedSnapshotReader::Open(file));
-    TABBIN_ASSIGN_OR_RETURN(SnapshotReader bridge, ExtractBridgeSections(r));
-    return FromSnapshot(bridge);
-  }
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(file));
+  TABBIN_ASSIGN_OR_RETURN(PagedSnapshotReader snapshot,
+                          PagedSnapshotReader::Open(file));
   return FromSnapshot(snapshot);
 }
 

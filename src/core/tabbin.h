@@ -27,8 +27,8 @@
 
 #include "core/model.h"
 #include "core/pretrainer.h"
+#include "store/paged_snapshot.h"
 #include "tensor/embedding_matrix.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 
@@ -131,14 +131,20 @@ class TabBiNSystem {
   // --- Persistence ------------------------------------------------------
 
   /// \brief Writes config, vocabulary, type-inference lexicon and all
-  /// four models' parameters into the snapshot (sections "tabbin.*").
-  void AppendTo(SnapshotWriter* snapshot) const;
+  /// four models' parameters into the snapshot (sections "tabbin.*",
+  /// packed, in that order).
+  void AppendTo(PagedSnapshotWriter* snapshot) const;
 
-  /// \brief Restores a system saved with AppendTo. A loaded system's
-  /// EncodeAll is bitwise identical to the saved one's.
-  static Result<TabBiNSystem> FromSnapshot(const SnapshotReader& snapshot);
+  /// \brief Restores a system saved with AppendTo; every section is
+  /// checksum-validated and copied out, so the system does not keep the
+  /// reader alive. A loaded system's EncodeAll is bitwise identical to
+  /// the saved one's.
+  static Result<TabBiNSystem> FromSnapshot(
+      const PagedSnapshotReader& snapshot);
 
-  /// \brief File wrappers over AppendTo/FromSnapshot.
+  /// \brief File wrappers over AppendTo/FromSnapshot. Load also reads
+  /// the model sections of a service store, and resolves a generation
+  /// directory through its MANIFEST.
   Status Save(const std::string& path) const;
   static Result<TabBiNSystem> Load(const std::string& path);
 

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "tensor/kernels.h"
-#include "util/snapshot.h"
+#include "util/serialize.h"
 
 namespace tabbin {
 namespace {

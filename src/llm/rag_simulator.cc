@@ -157,37 +157,30 @@ void RagLlmSimulator::EnableQuantizedRetrieval(bool on,
   }
 }
 
-Status RagLlmSimulator::SaveIndex(const std::string& path) const {
-  SnapshotWriter snapshot;
-  BinaryWriter* docs = snapshot.AddSection("rag.docs");
-  docs->WriteU64(docs_.size());
+void RagLlmSimulator::SerializeIndex(BinaryWriter* w) const {
+  w->WriteU64(docs_.size());
   for (const RagDocument& d : docs_) {
-    docs->WriteString(d.text);
-    docs->WriteString(d.label);
+    w->WriteString(d.text);
+    w->WriteString(d.label);
   }
-  dense_.Serialize(snapshot.AddSection("rag.dense"));
-  return snapshot.ToFile(path);
+  dense_.Serialize(w);
 }
 
-Status RagLlmSimulator::LoadIndex(const std::string& path) {
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(path));
-  TABBIN_ASSIGN_OR_RETURN(BinaryReader docs_r, snapshot.Section("rag.docs"));
-  TABBIN_ASSIGN_OR_RETURN(uint64_t n, docs_r.ReadU64());
+Status RagLlmSimulator::DeserializeIndex(BinaryReader* r) {
+  TABBIN_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
   std::vector<RagDocument> docs;
   docs.reserve(static_cast<size_t>(
-      std::min<uint64_t>(n, docs_r.remaining() / (2 * sizeof(uint64_t)))));
+      std::min<uint64_t>(n, r->remaining() / (2 * sizeof(uint64_t)))));
   for (uint64_t i = 0; i < n; ++i) {
     RagDocument d;
-    TABBIN_ASSIGN_OR_RETURN(d.text, docs_r.ReadString());
-    TABBIN_ASSIGN_OR_RETURN(d.label, docs_r.ReadString());
+    TABBIN_ASSIGN_OR_RETURN(d.text, r->ReadString());
+    TABBIN_ASSIGN_OR_RETURN(d.label, r->ReadString());
     docs.push_back(std::move(d));
   }
-  TABBIN_ASSIGN_OR_RETURN(BinaryReader dense_r, snapshot.Section("rag.dense"));
   TABBIN_ASSIGN_OR_RETURN(EmbeddingMatrix dense,
-                          EmbeddingMatrix::Deserialize(&dense_r));
+                          EmbeddingMatrix::Deserialize(r));
   if (!dense.empty() && dense.rows() != docs.size()) {
-    return Status::ParseError("rag snapshot: dense rows do not match docs");
+    return Status::ParseError("rag index: dense rows do not match docs");
   }
   Index(docs);  // rebuilds BM25 postings and clears the dense index
   dense_ = std::move(dense);

@@ -23,7 +23,7 @@
 #include "tasks/metrics.h"
 #include "tensor/embedding_matrix.h"
 #include "util/rng.h"
-#include "util/snapshot.h"
+#include "util/serialize.h"
 
 namespace tabbin {
 
@@ -116,25 +116,25 @@ class RagLlmSimulator {
   };
   EvalResult Evaluate(int k = 20, int max_queries = 200);
 
-  /// \brief Persists the grounding index — documents plus the dense
-  /// embedding matrix — to a versioned snapshot (sections "rag.docs",
-  /// "rag.dense"). The BM25 postings are derived state and are rebuilt
-  /// on load.
-  Status SaveIndex(const std::string& path) const;
+  /// \brief Writes the grounding index — documents, then the dense
+  /// embedding matrix — into a byte stream. The BM25 postings are
+  /// derived state and are rebuilt by DeserializeIndex.
+  void SerializeIndex(BinaryWriter* w) const;
 
-  /// \brief Restores an index saved with SaveIndex; afterwards RankFor /
-  /// Evaluate behave identically to the simulator that saved it (given
-  /// equal RNG state). Quantized retrieval is in-memory state, never
-  /// persisted: a simulator that has it enabled keeps it across
-  /// LoadIndex (the sidecar is rebuilt for the loaded matrix), but a
-  /// fresh simulator loading the same file starts on the exact path.
-  Status LoadIndex(const std::string& path);
+  /// \brief Restores an index written by SerializeIndex; afterwards
+  /// RankFor / Evaluate behave identically to the simulator that wrote
+  /// it (given equal RNG state). A dense matrix whose row count differs
+  /// from the document count is ParseError. Quantized retrieval is
+  /// in-memory state, never persisted: a simulator that has it enabled
+  /// keeps it across DeserializeIndex (the sidecar is rebuilt for the
+  /// loaded matrix), but a fresh simulator starts on the exact path.
+  Status DeserializeIndex(BinaryReader* r);
 
   /// \brief Switches DenseRetrieve to the two-stage int8 scan: an
   /// approximate quantized pass over all documents cuts the pool to
   /// (k * shortlist_multiplier) before the exact float cosine top-k.
   /// Builds the code sidecar for the current dense matrix (and Index /
-  /// LoadIndex rebuild it for new matrices). Pass on=false to restore
+  /// DeserializeIndex rebuild it for new matrices). Pass on=false to restore
   /// the exact full scan.
   void EnableQuantizedRetrieval(bool on = true, int shortlist_multiplier = 4);
 

@@ -12,7 +12,6 @@
 #include "tensor/kernels.h"
 #include "text/wordpiece.h"
 #include "util/logging.h"
-#include "util/snapshot.h"
 #include "util/top_k.h"
 
 namespace tabbin {
@@ -70,7 +69,7 @@ bool ServiceMatchOrder(const ServiceMatch& a, const ServiceMatch& b) {
 }
 
 void AppendServiceOptions(const ServiceOptions& options,
-                          SnapshotWriter* snapshot) {
+                          PagedSnapshotWriter* snapshot) {
   BinaryWriter* opts = snapshot->AddSection("service.options");
   opts->WriteU64(options.encoder_cache_capacity);
   opts->WriteI32(options.lsh_bits);
@@ -80,7 +79,8 @@ void AppendServiceOptions(const ServiceOptions& options,
   opts->WriteI32(options.max_entities_per_table);
 }
 
-Result<ServiceOptions> ReadServiceOptions(const SnapshotReader& snapshot) {
+Result<ServiceOptions> ReadServiceOptions(
+    const PagedSnapshotReader& snapshot) {
   ServiceOptions options;
   TABBIN_ASSIGN_OR_RETURN(BinaryReader opts_r,
                           snapshot.Section("service.options"));

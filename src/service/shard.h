@@ -39,7 +39,6 @@
 #include "store/paged_snapshot.h"
 #include "tasks/lsh.h"
 #include "util/mutex.h"
-#include "util/snapshot.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -88,24 +87,24 @@ using DocTermCounts = std::vector<std::pair<std::string, int>>;
 /// live-built one and silently break the equivalence guarantees.
 DocTermCounts ServiceDocTermFrequencies(const Table& table);
 
-/// \brief Writes / reads the "service.options" section the v2 store
-/// bridges (construction knobs travel with the state so a restored
-/// service behaves identically on later updates).
+/// \brief Writes / reads the "service.options" section (construction
+/// knobs travel with the state so a restored service behaves
+/// identically on later updates).
 void AppendServiceOptions(const ServiceOptions& options,
-                          SnapshotWriter* snapshot);
-Result<ServiceOptions> ReadServiceOptions(const SnapshotReader& snapshot);
+                          PagedSnapshotWriter* snapshot);
+Result<ServiceOptions> ReadServiceOptions(
+    const PagedSnapshotReader& snapshot);
 
 // --- Paged (v2) store plumbing (implemented in service/shard_store.cc) -----
 
 /// \brief Writes / reads the "store.meta" section: the saved shard
-/// count. Reading rejects a truncated section and a count outside
-/// [1, kMaxShards] as ParseError.
+/// count. Reading rejects a missing section (a model snapshot is not a
+/// service store), a truncated one and a count outside [1, kMaxShards]
+/// as ParseError.
 void AppendStoreMeta(PagedSnapshotWriter* w, uint32_t shards);
 Result<uint32_t> ReadStoreMeta(const PagedSnapshotReader& reader);
 
 /// \brief Section prefix for shard i ("store.s<i>.").
-/// (Section bridging and path resolution shared with the core loader
-/// live in store/snapshot_bridge.h.)
 std::string StoreShardPrefix(uint32_t shard);
 
 class ServiceShard {

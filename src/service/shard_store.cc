@@ -48,6 +48,12 @@ void AppendStoreMeta(PagedSnapshotWriter* w, uint32_t shards) {
 }
 
 Result<uint32_t> ReadStoreMeta(const PagedSnapshotReader& reader) {
+  if (!reader.HasSection("store.meta")) {
+    return Status::ParseError(
+        "paged store: '" + reader.path() +
+        "' is a model snapshot, not a service store; build one with "
+        "build-service");
+  }
   TABBIN_ASSIGN_OR_RETURN(BinaryReader r, reader.Section("store.meta"));
   auto version = r.ReadU32();
   auto legacy_flag = r.ReadU32();

@@ -7,8 +7,8 @@
 #include <optional>
 #include <utility>
 
+#include "store/generation.h"
 #include "store/paged_snapshot.h"
-#include "store/snapshot_bridge.h"
 #include "text/wordpiece.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
@@ -504,15 +504,11 @@ size_t TabBinService::ShardLiveCount(int shard) const {
 // --- Persistence ----------------------------------------------------------
 
 void TabBinService::AppendStore(PagedSnapshotWriter* w) const {
-  // The model sections keep their v1 serializers: they are metadata-
-  // sized, so the paged store just carries their bytes verbatim. The
-  // encoder cache is deliberately NOT bridged — encodes are
+  // The encoder cache is deliberately NOT saved — encodes are
   // deterministic, so a cold cache re-derives identical bits, and
   // omitting it is a large share of the cold-start win.
-  SnapshotWriter bridge;
-  system_->AppendTo(&bridge);
-  AppendServiceOptions(options_, &bridge);
-  AppendBridgeSections(bridge, w);
+  system_->AppendTo(w);
+  AppendServiceOptions(options_, w);
   AppendStoreMeta(w, static_cast<uint32_t>(shards_.size()));
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->AppendStoreSections(
@@ -544,11 +540,10 @@ Result<std::unique_ptr<TabBinService>> TabBinService::FromStore(
         "paged store: more shard section groups than the meta's " +
         std::to_string(saved));
   }
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader bridge,
-                          ExtractBridgeSections(*reader));
   TABBIN_ASSIGN_OR_RETURN(TabBiNSystem sys,
-                          TabBiNSystem::FromSnapshot(bridge));
-  TABBIN_ASSIGN_OR_RETURN(ServiceOptions options, ReadServiceOptions(bridge));
+                          TabBiNSystem::FromSnapshot(*reader));
+  TABBIN_ASSIGN_OR_RETURN(ServiceOptions options,
+                          ReadServiceOptions(*reader));
   std::shared_ptr<TabBiNSystem> system =
       std::make_shared<TabBiNSystem>(std::move(sys));
 
@@ -628,11 +623,6 @@ Status TabBinService::Save(const std::string& path) const {
 Result<std::unique_ptr<TabBinService>> TabBinService::Load(
     const std::string& path, int num_shards_override) {
   TABBIN_ASSIGN_OR_RETURN(std::string file, ResolveSnapshotPath(path));
-  TABBIN_ASSIGN_OR_RETURN(uint32_t version, PeekSnapshotVersion(file));
-  if (version < 2) {
-    return Status::ParseError(
-        "v1 service snapshot; rebuild with build-service");
-  }
   TABBIN_ASSIGN_OR_RETURN(PagedSnapshotReader r,
                           PagedSnapshotReader::Open(file));
   return FromStore(std::make_shared<const PagedSnapshotReader>(std::move(r)),

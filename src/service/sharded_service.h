@@ -43,11 +43,11 @@
 // but not to the already-resolved query embedding.
 //
 // Persistence: Save writes the TBSN v2 paged store (store/paged_snapshot.h)
-// — bridged system/options sections, "store.meta" with the shard count,
-// and one "store.s<i>.*" section group per shard. Load maps it back
-// zero-copy at the saved shard count, or re-partitions onto a different
-// one by re-inserting the stored embedding rows by hash (no encoder
-// forward passes).
+// — the model ("tabbin.*") and "service.options" sections, "store.meta"
+// with the shard count, and one "store.s<i>.*" section group per shard.
+// Load maps it back zero-copy at the saved shard count, or re-partitions
+// onto a different one by re-inserting the stored embedding rows by hash
+// (no encoder forward passes).
 #ifndef TABBIN_SERVICE_SHARDED_SERVICE_H_
 #define TABBIN_SERVICE_SHARDED_SERVICE_H_
 
@@ -159,8 +159,8 @@ class TabBinService : public TabBinServing {
 
   // --- Persistence ------------------------------------------------------
 
-  /// \brief Appends the service as a TBSN v2 paged store: bridged
-  /// system/options sections, the store meta, and per-shard full state
+  /// \brief Appends the service as a TBSN v2 paged store: the model
+  /// and options sections, the store meta, and per-shard full state
   /// ("store.s<i>.*", embedding blocks page-aligned). The encoder cache
   /// is deliberately omitted — encodes are deterministic, so a cold
   /// cache re-derives identical bits. Shards are written one at a time
@@ -187,8 +187,9 @@ class TabBinService : public TabBinServing {
   Status Save(const std::string& path) const override;
 
   /// \brief Loads a v2 paged store (directories resolve through the
-  /// generation manifest) via FromStore. A v1 stream file is ParseError:
-  /// the v1 service formats are gone, so rebuild with build-service.
+  /// generation manifest) via FromStore. A v1 stream file and a model
+  /// snapshot (no "store.meta") are ParseError: rebuild with
+  /// build-service.
   static Result<std::unique_ptr<TabBinService>> Load(
       const std::string& path, int num_shards_override = 0);
 

@@ -133,4 +133,15 @@ Result<uint64_t> PublishGeneration(const std::string& dir,
   return next;
 }
 
+Result<std::string> ResolveSnapshotPath(const std::string& path) {
+  if (!IsDirectory(path)) return path;
+  return ResolveGeneration(path);
+}
+
+Status WriteStoreSnapshot(const std::string& path,
+                          const PagedSnapshotWriter& w) {
+  if (IsDirectory(path)) return PublishGeneration(path, w.Assemble()).status();
+  return w.ToFile(path);
+}
+
 }  // namespace tabbin

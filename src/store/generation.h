@@ -34,6 +34,8 @@
 
 namespace tabbin {
 
+class PagedSnapshotWriter;
+
 /// \brief True when `path` names an existing directory — how Save/Load
 /// tell "single snapshot file" from "generation directory".
 bool IsDirectory(const std::string& path);
@@ -58,6 +60,17 @@ Result<std::string> ResolveGeneration(const std::string& dir);
 /// new generation number. `dir` must already exist.
 Result<uint64_t> PublishGeneration(const std::string& dir,
                                    const std::vector<uint8_t>& bytes);
+
+/// \brief Maps a user-supplied path to the snapshot file to open: a
+/// directory resolves through its MANIFEST, anything else is returned
+/// as-is.
+Result<std::string> ResolveSnapshotPath(const std::string& path);
+
+/// \brief Writes an assembled snapshot to `path`: into an existing
+/// directory as the next generation (MANIFEST swing), otherwise as a
+/// single file via temp + fsync + atomic rename.
+Status WriteStoreSnapshot(const std::string& path,
+                          const PagedSnapshotWriter& w);
 
 }  // namespace tabbin
 

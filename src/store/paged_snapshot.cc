@@ -1,9 +1,9 @@
 #include "store/paged_snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-
-#include "util/snapshot.h"
+#include <numeric>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TABBIN_STORE_HAVE_POSIX_IO 1
@@ -92,9 +92,8 @@ Result<uint32_t> PeekSnapshotVersion(const std::string& path) {
 
 BinaryWriter* PagedSnapshotWriter::AddSection(const std::string& name,
                                               uint64_t align) {
-  for (auto& s : sections_) {
-    if (s.name == name) return s.payload.get();
-  }
+  const auto [it, added] = index_.emplace(name, sections_.size());
+  if (!added) return sections_[it->second].payload.get();
   Section s;
   s.name = name;
   // Invalid alignments are a programming error on the write side; they
@@ -175,6 +174,12 @@ Result<PagedSnapshotReader> PagedSnapshotReader::Open(const std::string& path,
   if (magic != kSnapshotMagic) {
     return Status::ParseError("paged snapshot: bad magic");
   }
+  if (version == 1) {
+    return Status::ParseError(
+        "paged snapshot: '" + path +
+        "' is a v1 stream file, which this build no longer reads; rebuild "
+        "it (tabbin_cli save-model or build-service)");
+  }
   if (version != kPagedSnapshotVersion) {
     return Status::ParseError("paged snapshot: format version " +
                               std::to_string(version) + " (this build reads " +
@@ -215,12 +220,6 @@ Result<PagedSnapshotReader> PagedSnapshotReader::Open(const std::string& path,
     if (info.name.empty()) {
       return Status::ParseError("paged snapshot: empty section name");
     }
-    for (const auto& prev : reader.sections_) {
-      if (prev.name == info.name) {
-        return Status::ParseError("paged snapshot: duplicate section '" +
-                                  info.name + "'");
-      }
-    }
     if (!IsPow2(info.align) || info.align > kMaxStoreAlign) {
       return Status::ParseError(
           "paged snapshot: section '" + info.name + "' alignment " +
@@ -252,6 +251,23 @@ Result<PagedSnapshotReader> PagedSnapshotReader::Open(const std::string& path,
         std::to_string(bytes.size - prev_end) + " trailing bytes)");
   }
 
+  // Sorted once: duplicate names end up adjacent, and FindSection
+  // binary-searches the same index.
+  std::vector<uint32_t>& by_name = reader.by_name_;
+  by_name.resize(reader.sections_.size());
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  const std::vector<SectionInfo>& infos = reader.sections_;
+  std::sort(by_name.begin(), by_name.end(), [&](uint32_t a, uint32_t b) {
+    return infos[a].name < infos[b].name;
+  });
+  const auto dup = std::adjacent_find(
+      by_name.begin(), by_name.end(),
+      [&](uint32_t a, uint32_t b) { return infos[a].name == infos[b].name; });
+  if (dup != by_name.end()) {
+    return Status::ParseError("paged snapshot: duplicate section '" +
+                              infos[*dup].name + "'");
+  }
+
   reader.file_ = std::move(file);
   if (count > 0) {
     reader.checksum_state_ =
@@ -266,10 +282,11 @@ Result<PagedSnapshotReader> PagedSnapshotReader::Open(const std::string& path,
 
 const PagedSnapshotReader::SectionInfo* PagedSnapshotReader::FindSection(
     const std::string& name) const {
-  for (const auto& s : sections_) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [&](uint32_t i, const std::string& n) { return sections_[i].name < n; });
+  if (it == by_name_.end() || sections_[*it].name != name) return nullptr;
+  return &sections_[*it];
 }
 
 Result<const PagedSnapshotReader::SectionInfo*>

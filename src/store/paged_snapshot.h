@@ -1,12 +1,11 @@
-// TBSN v2 — the paged snapshot container behind mmap-backed serving.
+// TBSN v2 — the one on-disk container. It holds model snapshots
+// (`tabbin.*` sections plus `encoder.cache`, from `tabbin_cli
+// save-model` and TabBiNSystem::Save) and service stores (the same
+// model sections, `service.options` and the `store.*` corpus state).
+// The file is laid out for mapping, so opening it touches only the
+// directory, never the payloads:
 //
-// The v1 container (util/snapshot.h) is a stream: sections are packed
-// back to back and the whole file is checksummed in one trailing
-// FNV-1a, so a reader must touch every byte before parsing anything —
-// O(corpus) work and O(corpus) heap on every cold start. v2 keeps the
-// magic and the section vocabulary but lays the file out for mapping:
-//
-//   u32 magic           "TBSN" (same as v1)
+//   u32 magic           "TBSN"
 //   u32 format version  2
 //   u64 section count
 //   u64 header bytes    (everything through the directory checksum)
@@ -30,6 +29,9 @@
 // scans them; `tabbin_cli inspect` and ValidateAll() still check every
 // section when asked.
 //
+// Format version 1 (a stream of sections under one trailing checksum)
+// is no longer read: such a file is ParseError with a rebuild hint.
+//
 // Durability: ToFile never exposes a half-written snapshot — bytes go
 // to a temp file, fsync, then one atomic rename (see also
 // store/generation.h for the multi-generation directory workflow).
@@ -40,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,6 +52,7 @@
 
 namespace tabbin {
 
+inline constexpr uint32_t kSnapshotMagic = 0x4E534254;  // "TBSN"
 inline constexpr uint32_t kPagedSnapshotVersion = 2;
 /// Alignment used for bulk blocks (embedding rows, int8 codes): one
 /// x86/common-ARM page, fixed so the byte format never depends on the
@@ -66,8 +70,9 @@ Status AtomicWriteFile(const std::string& path,
                        const std::vector<uint8_t>& bytes);
 
 /// \brief Reads just enough of `path` to classify it: the snapshot
-/// format version (1 or 2) behind a validated magic. IoError on
-/// open/short-read, ParseError on a foreign magic.
+/// format version behind a validated magic (2, or 1 for a retired
+/// stream file). IoError on open/short-read, ParseError on a foreign
+/// magic.
 Result<uint32_t> PeekSnapshotVersion(const std::string& path);
 
 /// \brief Assembles named, aligned sections into one v2 snapshot.
@@ -91,6 +96,7 @@ class PagedSnapshotWriter {
     std::unique_ptr<BinaryWriter> payload;
   };
   std::vector<Section> sections_;
+  std::unordered_map<std::string, size_t> index_;  // name -> sections_
 };
 
 /// \brief Maps and validates a v2 snapshot; hands out section views.
@@ -112,6 +118,8 @@ class PagedSnapshotReader {
       const std::string& path,
       uint64_t max_bytes = MappedFile::kDefaultMaxMappedBytes);
 
+  /// \brief Name lookups (HasSection and every accessor) are binary
+  /// searches over a sorted index built once by Open.
   bool HasSection(const std::string& name) const {
     return FindSection(name) != nullptr;
   }
@@ -158,6 +166,7 @@ class PagedSnapshotReader {
 
   MappedFile file_;
   std::vector<SectionInfo> sections_;  // in file order
+  std::vector<uint32_t> by_name_;      // indices into sections_, by name
   // Memoized lazy checksum verdicts, one per section, in sections_
   // order: 0 = unchecked, 1 = ok, 2 = mismatch. Atomic because mapped
   // snapshots are shared across query threads; first-toucher races are

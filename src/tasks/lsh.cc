@@ -4,7 +4,6 @@
 #include <string>
 
 #include "tensor/kernels.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 
@@ -197,19 +196,6 @@ Result<LshIndex> LshIndex::Deserialize(BinaryReader* r) {
     }
   }
   return index;
-}
-
-Status LshIndex::Save(const std::string& path) const {
-  SnapshotWriter snapshot;
-  Serialize(snapshot.AddSection("lsh"));
-  return snapshot.ToFile(path);
-}
-
-Result<LshIndex> LshIndex::Load(const std::string& path) {
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(path));
-  TABBIN_ASSIGN_OR_RETURN(BinaryReader r, snapshot.Section("lsh"));
-  return Deserialize(&r);
 }
 
 std::vector<uint64_t> LshIndex::QueryKeys(VecView vec) const {

@@ -106,11 +106,6 @@ class LshIndex {
   /// it stores embedding rows and re-inserts (re-hashes) on load.
   static Result<LshIndex> Deserialize(BinaryReader* r);
 
-  /// \brief File wrappers using the versioned snapshot container
-  /// (section "lsh").
-  Status Save(const std::string& path) const;
-  static Result<LshIndex> Load(const std::string& path);
-
  private:
   // All per-table bucket keys of `vec` in one kernel matrix-vector pass
   // over the flat hyperplane block. Requires vec.size() == dim_.

@@ -6,7 +6,6 @@
 #include "tensor/kernels.h"
 #include "util/logging.h"
 #include "util/serialize.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 
@@ -340,19 +339,6 @@ Status DeserializeParameters(BinaryReader* r, ParameterMap* params) {
     std::copy(data.begin(), data.end(), it->second.vec().begin());
   }
   return Status::OK();
-}
-
-Status SaveParameters(const ParameterMap& params, const std::string& path) {
-  SnapshotWriter snapshot;
-  SerializeParameters(params, snapshot.AddSection("params"));
-  return snapshot.ToFile(path);
-}
-
-Status LoadParameters(const std::string& path, ParameterMap* params) {
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(path));
-  TABBIN_ASSIGN_OR_RETURN(BinaryReader r, snapshot.Section("params"));
-  return DeserializeParameters(&r, params);
 }
 
 }  // namespace tabbin

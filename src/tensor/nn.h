@@ -241,14 +241,6 @@ void SerializeParameters(const ParameterMap& params, BinaryWriter* w);
 /// overwritten in place.
 Status DeserializeParameters(BinaryReader* r, ParameterMap* params);
 
-/// \brief Saves all parameters to a versioned, checksummed snapshot file
-/// (section "params").
-Status SaveParameters(const ParameterMap& params, const std::string& path);
-
-/// \brief Loads a checkpoint produced by SaveParameters. Truncated,
-/// corrupt, or version-mismatched files return a Status error.
-Status LoadParameters(const std::string& path, ParameterMap* params);
-
 }  // namespace tabbin
 
 #endif  // TABBIN_TENSOR_NN_H_

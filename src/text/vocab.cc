@@ -1,7 +1,6 @@
 #include "text/vocab.h"
 
 #include "util/serialize.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 
@@ -48,19 +47,6 @@ Result<Vocab> Vocab::Deserialize(BinaryReader* r) {
     v.AddToken(t);
   }
   return v;
-}
-
-Status Vocab::Save(const std::string& path) const {
-  SnapshotWriter snapshot;
-  Serialize(snapshot.AddSection("vocab"));
-  return snapshot.ToFile(path);
-}
-
-Result<Vocab> Vocab::Load(const std::string& path) {
-  TABBIN_ASSIGN_OR_RETURN(SnapshotReader snapshot,
-                          SnapshotReader::FromFile(path));
-  TABBIN_ASSIGN_OR_RETURN(BinaryReader r, snapshot.Section("vocab"));
-  return Deserialize(&r);
 }
 
 }  // namespace tabbin

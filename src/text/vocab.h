@@ -52,11 +52,6 @@ class Vocab {
   /// prefix does not match this build's special tokens.
   static Result<Vocab> Deserialize(BinaryReader* r);
 
-  /// \brief File wrappers over Serialize/Deserialize using the versioned,
-  /// checksummed snapshot container (section "vocab").
-  Status Save(const std::string& path) const;
-  static Result<Vocab> Load(const std::string& path);
-
   static bool IsSpecialId(int id) { return id < kNumSpecialTokens; }
 
  private:

@@ -4,6 +4,15 @@
 
 namespace tabbin {
 
+uint64_t Fnv1a64(const uint8_t* data, size_t n) {
+  uint64_t h = 1469598103934665603ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 Status BinaryWriter::ToFile(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) return Status::IoError("cannot open for write: " + path);

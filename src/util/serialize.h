@@ -13,6 +13,10 @@
 
 namespace tabbin {
 
+/// \brief FNV-1a 64-bit hash: the TBSN section and directory checksums,
+/// shard routing of table ids, and HNSW level draws.
+uint64_t Fnv1a64(const uint8_t* data, size_t n);
+
 /// \brief Appends primitives to a growable byte buffer.
 class BinaryWriter {
  public:
@@ -82,9 +86,9 @@ class BinaryReader {
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
 
-  // 1 GiB: generous for every artifact this reader loads (model
-  // checkpoints, v1 snapshots), small enough that a hostile path can
-  // never turn the pre-validation read into a multi-GiB allocation.
+  // 1 GiB: generous for every file this reader loads, small enough
+  // that a hostile path can never turn the pre-validation read into a
+  // multi-GiB allocation.
   static constexpr uint64_t kDefaultMaxFileBytes = 1ull << 30;
 
   /// \brief Loads a whole file into a reader. Files larger than

@@ -99,26 +99,19 @@ TEST(IntegrationTest, CheckpointRestoresIdenticalEmbeddings) {
   TabBiNSystem sys = TabBiNSystem::Create(data.corpus.tables, cfg);
   sys.Pretrain(data.corpus.tables);
 
-  const std::string vocab_path = "/tmp/tabbin_int_vocab.bin";
-  const std::string model_path = "/tmp/tabbin_int_row.bin";
-  ASSERT_TRUE(sys.vocab().Save(vocab_path).ok());
-  ASSERT_TRUE(sys.model(TabBiNVariant::kDataRow)->Save(model_path).ok());
-
-  // Fresh system with the same vocabulary, load the row model weights.
-  auto vocab = Vocab::Load(vocab_path);
-  ASSERT_TRUE(vocab.ok());
-  TabBiNSystem restored(cfg, std::move(vocab).value());
-  ASSERT_TRUE(restored.model(TabBiNVariant::kDataRow)->Load(model_path).ok());
+  const std::string model_path = "/tmp/tabbin_int_model.tbsn";
+  ASSERT_TRUE(sys.Save(model_path).ok());
+  auto restored = TabBiNSystem::Load(model_path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   const Table& t = data.corpus.tables[0];
   auto e1 = sys.EncodeSegment(t, TabBiNVariant::kDataRow);
-  auto e2 = restored.EncodeSegment(t, TabBiNVariant::kDataRow);
+  auto e2 = restored.value().EncodeSegment(t, TabBiNVariant::kDataRow);
   ASSERT_EQ(e1.hidden.rows(), e2.hidden.rows());
   ASSERT_EQ(e1.hidden.cols(), e2.hidden.cols());
   for (size_t i = 0; i < e1.hidden.size(); ++i) {
     ASSERT_FLOAT_EQ(e1.hidden.data()[i], e2.hidden.data()[i]);
   }
-  std::remove(vocab_path.c_str());
   std::remove(model_path.c_str());
 }
 
@@ -126,8 +119,8 @@ TEST(IntegrationTest, CorruptCheckpointRejected) {
   LabeledCorpus data = TinyCorpus();
   TabBiNConfig cfg = TinyConfig();
   TabBiNSystem sys = TabBiNSystem::Create(data.corpus.tables, cfg);
-  const std::string path = "/tmp/tabbin_int_corrupt.bin";
-  ASSERT_TRUE(sys.model(TabBiNVariant::kHmd)->Save(path).ok());
+  const std::string path = "/tmp/tabbin_int_corrupt.tbsn";
+  ASSERT_TRUE(sys.Save(path).ok());
   // Truncate the file (simulated partial write / disk failure).
   {
     std::FILE* f = std::fopen(path.c_str(), "rb+");
@@ -138,7 +131,9 @@ TEST(IntegrationTest, CorruptCheckpointRejected) {
     ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
     std::fclose(f);
   }
-  EXPECT_FALSE(sys.model(TabBiNVariant::kHmd)->Load(path).ok());
+  auto loaded = TabBiNSystem::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
-// Tests for the versioned snapshot subsystem: corrupt-input hardening of
-// BinaryReader / SnapshotReader, and save -> load round trips for every
-// persisted artifact (EmbeddingMatrix, Vocab, LshIndex, TypeInferencer,
-// TabBiNSystem, EncoderEngine cache, RAG grounding index).
+// Tests for persisted artifacts: corrupt-input hardening of BinaryReader,
+// round trips of every artifact codec (EmbeddingMatrix, LshIndex,
+// TypeInferencer, TableEncodings, RAG grounding index), and model
+// snapshots on the TBSN v2 container (TabBiNSystem, EncoderEngine warm
+// start). Container-level corruption cases live in store_test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,8 +14,8 @@
 #include "llm/rag_simulator.h"
 #include "tasks/lsh.h"
 #include "test_tables.h"
+#include "store/paged_snapshot.h"
 #include "text/vocab.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 namespace {
@@ -42,6 +43,14 @@ Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   BinaryWriter w;
   w.WriteBytes(bytes.data(), bytes.size());
   return w.ToFile(path);
+}
+
+// Writes `w` to /tmp and opens it, as every v2 loader does.
+Result<PagedSnapshotReader> WriteAndOpen(const PagedSnapshotWriter& w,
+                                         const std::string& name) {
+  const std::string path = "/tmp/tabbin_snap_" + name + ".tbsn";
+  TABBIN_RETURN_IF_ERROR(w.ToFile(path));
+  return PagedSnapshotReader::Open(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -100,111 +109,6 @@ TEST(BinaryReaderHardeningTest, EmptyFileYieldsEmptyReader) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot container
-// ---------------------------------------------------------------------------
-
-TEST(SnapshotTest, RoundTripSections) {
-  SnapshotWriter w;
-  w.AddSection("alpha")->WriteString("first");
-  w.AddSection("beta")->WriteU64(42);
-  w.AddSection("alpha")->WriteString("second");  // resumes, not duplicates
-
-  auto snapshot = SnapshotReader::FromBuffer(w.Assemble());
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_TRUE(snapshot.value().HasSection("alpha"));
-  EXPECT_TRUE(snapshot.value().HasSection("beta"));
-  EXPECT_FALSE(snapshot.value().HasSection("gamma"));
-  EXPECT_FALSE(snapshot.value().Section("gamma").ok());
-
-  auto alpha = snapshot.value().Section("alpha");
-  ASSERT_TRUE(alpha.ok());
-  EXPECT_EQ(alpha.value().ReadString().value(), "first");
-  EXPECT_EQ(alpha.value().ReadString().value(), "second");
-  auto beta = snapshot.value().Section("beta");
-  ASSERT_TRUE(beta.ok());
-  EXPECT_EQ(beta.value().ReadU64().value(), 42u);
-}
-
-TEST(SnapshotTest, EmptyBufferRejected) {
-  EXPECT_FALSE(SnapshotReader::FromBuffer({}).ok());
-}
-
-TEST(SnapshotTest, EmptyFileRejected) {
-  const std::string path = "/tmp/tabbin_snap_emptyfile.tbsn";
-  ASSERT_TRUE(WriteFile(path, {}).ok());
-  auto snapshot = SnapshotReader::FromFile(path);
-  EXPECT_FALSE(snapshot.ok());
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, TruncatedSnapshotRejected) {
-  SnapshotWriter w;
-  w.AddSection("data")->WriteF32Vector({1, 2, 3, 4, 5});
-  std::vector<uint8_t> bytes = w.Assemble();
-  for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{5}}) {
-    std::vector<uint8_t> truncated(bytes.begin(),
-                                   bytes.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(SnapshotReader::FromBuffer(std::move(truncated)).ok())
-        << "cut at " << cut;
-  }
-}
-
-TEST(SnapshotTest, ChecksumMismatchRejected) {
-  SnapshotWriter w;
-  w.AddSection("data")->WriteString("payload bytes");
-  std::vector<uint8_t> bytes = w.Assemble();
-  bytes[bytes.size() / 2] ^= 0x40;  // flip one payload bit
-  auto snapshot = SnapshotReader::FromBuffer(std::move(bytes));
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_NE(snapshot.status().message().find("checksum"), std::string::npos);
-}
-
-TEST(SnapshotTest, BadMagicRejected) {
-  SnapshotWriter w;
-  w.AddSection("data")->WriteU32(1);
-  std::vector<uint8_t> bytes = w.Assemble();
-  bytes[0] ^= 0xFF;
-  // Fix up the checksum so only the magic is wrong.
-  const uint64_t checksum = Fnv1a64(bytes.data(), bytes.size() - 8);
-  std::memcpy(bytes.data() + bytes.size() - 8, &checksum, sizeof(checksum));
-  auto snapshot = SnapshotReader::FromBuffer(std::move(bytes));
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_NE(snapshot.status().message().find("magic"), std::string::npos);
-}
-
-TEST(SnapshotTest, VersionMismatchRejected) {
-  SnapshotWriter w;
-  w.AddSection("data")->WriteU32(1);
-  std::vector<uint8_t> bytes = w.Assemble();
-  const uint32_t future_version = kSnapshotFormatVersion + 7;
-  std::memcpy(bytes.data() + 4, &future_version, sizeof(future_version));
-  const uint64_t checksum = Fnv1a64(bytes.data(), bytes.size() - 8);
-  std::memcpy(bytes.data() + bytes.size() - 8, &checksum, sizeof(checksum));
-  auto snapshot = SnapshotReader::FromBuffer(std::move(bytes));
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_NE(snapshot.status().message().find("version"), std::string::npos);
-}
-
-TEST(SnapshotTest, OverflowingSectionLengthRejected) {
-  // Hand-craft a snapshot whose single section claims a near-UINT64_MAX
-  // payload; the section bounds check must fail before any read.
-  BinaryWriter w;
-  // Corruption fixture: hand-crafts the frozen container bytes.
-  // tabbin-lint: allow(naked-new-sections)
-  w.WriteU32(kSnapshotMagic);
-  w.WriteU32(kSnapshotFormatVersion);
-  w.WriteU64(1);
-  w.WriteString("huge");
-  w.WriteU64(UINT64_MAX - 3);
-  std::vector<uint8_t> bytes = w.buffer();
-  const uint64_t checksum = Fnv1a64(bytes.data(), bytes.size());
-  BinaryWriter full;
-  full.WriteBytes(bytes.data(), bytes.size());
-  full.WriteU64(checksum);
-  EXPECT_FALSE(SnapshotReader::FromBuffer(full.buffer()).ok());
-}
-
-// ---------------------------------------------------------------------------
 // Artifact round trips
 // ---------------------------------------------------------------------------
 
@@ -246,11 +150,12 @@ TEST(SnapshotTest, LshIndexRoundTripIdenticalQueries) {
     vecs.push_back(std::move(v));
   }
 
-  const std::string path = "/tmp/tabbin_snap_lsh.tbsn";
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = LshIndex::Load(path);
+  BinaryWriter w;
+  index.Serialize(&w);
+  BinaryReader r(w.buffer());
+  auto loaded = LshIndex::Deserialize(&r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
+  EXPECT_TRUE(r.AtEnd());
 
   EXPECT_EQ(loaded.value().size(), index.size());
   for (const auto& v : vecs) {
@@ -379,30 +284,55 @@ TEST(SnapshotTest, SystemRoundTripBitwiseIdenticalEncodeAll) {
 TEST(SnapshotTest, SystemLoadRejectsMissingSection) {
   std::vector<Table> tables = SampleTables();
   TabBiNSystem sys = TabBiNSystem::Create(tables, SnapshotTestConfig());
-  SnapshotWriter w;
+  PagedSnapshotWriter w;
   sys.AppendTo(&w);
+  auto full = WriteAndOpen(w, "system_full");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(TabBiNSystem::FromSnapshot(full.value()).ok());
   // Rebuild the snapshot without the VMD model section.
-  auto full = SnapshotReader::FromBuffer(w.Assemble());
-  ASSERT_TRUE(full.ok());
-  SnapshotWriter partial;
+  PagedSnapshotWriter partial;
   for (const std::string& name : full.value().SectionNames()) {
     if (name == "tabbin.model.vmd") continue;
-    auto section = full.value().Section(name);
-    ASSERT_TRUE(section.ok());
-    auto bytes = section.value().ReadBytes(section.value().remaining());
-    ASSERT_TRUE(bytes.ok());
-    partial.AddSection(name)->WriteBytes(bytes.value().data(),
-                                         bytes.value().size());
+    auto span = full.value().SectionSpan(name);
+    ASSERT_TRUE(span.ok());
+    partial.AddSection(name)->WriteBytes(span.value().data,
+                                         span.value().size);
   }
-  auto loaded = SnapshotReader::FromBuffer(partial.Assemble());
-  ASSERT_TRUE(loaded.ok());
+  auto loaded = WriteAndOpen(partial, "system_partial");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE(TabBiNSystem::FromSnapshot(loaded.value()).ok());
+}
+
+// The retired v1 stream ("TBSN", version 1, then sections back to back
+// under one trailing checksum) is refused with a rebuild hint rather
+// than misparsed.
+TEST(SnapshotTest, SystemLoadRejectsV1StreamWithRebuildHint) {
+  BinaryWriter v1;
+  // Corruption fixture: hand-writes the retired v1 header.
+  // tabbin-lint: allow(naked-new-sections)
+  v1.WriteU32(kSnapshotMagic);
+  v1.WriteU32(1);  // format version
+  v1.WriteU64(1);  // section count
+  v1.WriteString("tabbin.config");
+  v1.WriteU64(4);
+  v1.WriteU32(16);
+  v1.WriteU64(Fnv1a64(v1.buffer().data(), v1.buffer().size()));
+  const std::string path = "/tmp/tabbin_snap_v1_model.tbsn";
+  ASSERT_TRUE(v1.ToFile(path).ok());
+  auto loaded = TabBiNSystem::Load(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("v1"), std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(SnapshotTest, SystemLoadRejectsHostileConfig) {
   // A snapshot with a valid checksum but num_heads = 0 used to reach
   // TabBiNConfig::Valid()'s hidden % num_heads and die on SIGFPE.
-  SnapshotWriter w;
+  PagedSnapshotWriter w;
   BinaryWriter* cfg = w.AddSection("tabbin.config");
   cfg->WriteI32(16);  // hidden
   cfg->WriteI32(1);   // num_layers
@@ -422,8 +352,8 @@ TEST(SnapshotTest, SystemLoadRejectsHostileConfig) {
   cfg->WriteF32(0.3f);
   for (int i = 0; i < 4; ++i) cfg->WriteU32(1);  // ablation flags
   cfg->WriteU64(17);  // seed
-  auto snapshot = SnapshotReader::FromBuffer(w.Assemble());
-  ASSERT_TRUE(snapshot.ok());
+  auto snapshot = WriteAndOpen(w, "hostile_config");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   auto loaded = TabBiNSystem::FromSnapshot(snapshot.value());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
@@ -436,14 +366,15 @@ TEST(SnapshotTest, EncoderEngineWarmStartHitsWithoutForwardPasses) {
 
   EncoderEngine cold(&sys, 16);
   auto first = cold.EncodeBatch(tables);
-  const std::string path = "/tmp/tabbin_snap_engine.tbsn";
-  ASSERT_TRUE(cold.SaveCache(path).ok());
+  PagedSnapshotWriter w;
+  cold.AppendCacheTo(&w);
+  auto snapshot = WriteAndOpen(w, "engine");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
   EncoderEngine warm(&sys, 16);
-  auto warmed = warm.LoadCache(path);
+  auto warmed = warm.WarmStart(snapshot.value());
   ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
   EXPECT_EQ(warmed.value(), tables.size());
-  std::remove(path.c_str());
 
   for (size_t i = 0; i < tables.size(); ++i) {
     auto enc = warm.Encode(tables[i]);
@@ -462,10 +393,10 @@ TEST(SnapshotTest, WarmStartRejectsForeignGeometry) {
   TabBiNSystem sys = TabBiNSystem::Create(tables, SnapshotTestConfig());
   EncoderEngine engine(&sys, 16);
   engine.EncodeBatch(tables);
-  SnapshotWriter w;
+  PagedSnapshotWriter w;
   engine.AppendCacheTo(&w);
-  auto snapshot = SnapshotReader::FromBuffer(w.Assemble());
-  ASSERT_TRUE(snapshot.ok());
+  auto snapshot = WriteAndOpen(w, "engine_geometry");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
   // A system with a different hidden width must refuse the cache.
   TabBiNConfig other_cfg = SnapshotTestConfig();
@@ -522,12 +453,13 @@ TEST(SnapshotTest, RagIndexRoundTripIdenticalRanking) {
 
   RagLlmSimulator a(ProfileFor("gpt4+rag"), /*seed=*/31);
   ASSERT_TRUE(a.Index(docs, dense).ok());
-  const std::string path = "/tmp/tabbin_snap_rag.tbsn";
-  ASSERT_TRUE(a.SaveIndex(path).ok());
+  BinaryWriter w;
+  a.SerializeIndex(&w);
 
   RagLlmSimulator b(ProfileFor("gpt4+rag"), /*seed=*/31);
-  ASSERT_TRUE(b.LoadIndex(path).ok());
-  std::remove(path.c_str());
+  BinaryReader r(w.buffer());
+  ASSERT_TRUE(b.DeserializeIndex(&r).ok());
+  EXPECT_TRUE(r.AtEnd());
 
   for (int q = 0; q < static_cast<int>(docs.size()); ++q) {
     EXPECT_EQ(a.RankFor(q, 4), b.RankFor(q, 4)) << "query " << q;
@@ -535,20 +467,17 @@ TEST(SnapshotTest, RagIndexRoundTripIdenticalRanking) {
 }
 
 TEST(SnapshotTest, RagIndexRejectsMismatchedDense) {
-  SnapshotWriter w;
-  BinaryWriter* docs = w.AddSection("rag.docs");
-  docs->WriteU64(2);
+  BinaryWriter w;
+  w.WriteU64(2);
   for (int i = 0; i < 2; ++i) {
-    docs->WriteString("doc");
-    docs->WriteString("label");
+    w.WriteString("doc");
+    w.WriteString("label");
   }
   EmbeddingMatrix dense(5, 3);  // 5 rows for 2 docs
-  dense.Serialize(w.AddSection("rag.dense"));
-  const std::string path = "/tmp/tabbin_snap_rag_bad.tbsn";
-  ASSERT_TRUE(w.ToFile(path).ok());
+  dense.Serialize(&w);
   RagLlmSimulator sim(ProfileFor("gpt4+rag"));
-  EXPECT_FALSE(sim.LoadIndex(path).ok());
-  std::remove(path.c_str());
+  BinaryReader r(w.buffer());
+  EXPECT_EQ(sim.DeserializeIndex(&r).code(), StatusCode::kParseError);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 //     a table id live in two shards — always comes back as ParseError,
 //     never a crash, SIGBUS, or out-of-bounds read (CI re-runs this
 //     suite under ASan/UBSan, mapped and with TABBIN_STORE_NO_MMAP=1);
-//   * a v1 stream file handed to the service loaders is ParseError (the
-//     v1 service formats are gone);
+//   * a v1 stream file handed to any loader is ParseError (the v1 format
+//     is gone), and so is a v2 model snapshot handed to a service loader;
 //   * a service restored from a mapped v2 store answers every endpoint
 //     byte-identically to the saved one — scores, ranks, captions, AND
 //     `candidates` counts (tombstone bucket pollution is persisted);
@@ -19,6 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -35,8 +38,6 @@
 #include "store/generation.h"
 #include "store/mapped_file.h"
 #include "store/paged_snapshot.h"
-#include "store/snapshot_bridge.h"
-#include "util/snapshot.h"
 
 namespace tabbin {
 namespace {
@@ -94,6 +95,28 @@ Result<PagedSnapshotReader> OpenBytes(const std::vector<uint8_t>& bytes,
   return PagedSnapshotReader::Open(path);
 }
 
+// Bytes of a retired v1 stream file: magic, version 1, section count,
+// then per section its name, length and payload, and one trailing
+// FNV-1a over everything before it. Hand-written, since no writer for
+// the format is left.
+std::vector<uint8_t> V1StreamBytes(
+    const std::vector<std::pair<std::string, std::vector<uint8_t>>>&
+        sections) {
+  BinaryWriter w;
+  // Corruption fixture: hand-writes the retired v1 container.
+  // tabbin-lint: allow(naked-new-sections)
+  w.WriteU32(kSnapshotMagic);
+  w.WriteU32(1);
+  w.WriteU64(sections.size());
+  for (const auto& [name, payload] : sections) {
+    w.WriteString(name);
+    w.WriteU64(payload.size());
+    w.WriteBytes(payload.data(), payload.size());
+  }
+  w.WriteU64(Fnv1a64(w.buffer().data(), w.buffer().size()));
+  return std::move(w).TakeBuffer();
+}
+
 TEST(PagedSnapshotTest, RoundTripSectionsAlignmentAndChecksums) {
   auto reader = OpenBytes(SampleStoreBytes(), "roundtrip");
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -140,6 +163,27 @@ TEST(PagedSnapshotTest, RoundTripSectionsAlignmentAndChecksums) {
   EXPECT_STREQ(r.ChecksumState("tail"), "ok");
 }
 
+TEST(PagedSnapshotTest, AddSectionResumesAnExistingSection) {
+  PagedSnapshotWriter w;
+  w.AddSection("alpha")->WriteString("first");
+  w.AddSection("beta")->WriteU64(42);
+  w.AddSection("alpha", kStoreBlockAlign)->WriteString("second");
+  auto reader = OpenBytes(w.Assemble(), "resume");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const PagedSnapshotReader& r = reader.value();
+  ASSERT_EQ(r.SectionNames(), (std::vector<std::string>{"alpha", "beta"}));
+  // The alignment recorded on the first add stands.
+  EXPECT_EQ(r.sections()[0].align, 1u);
+  auto alpha = r.Section("alpha");
+  ASSERT_TRUE(alpha.ok());
+  EXPECT_EQ(alpha.value().ReadString().value(), "first");
+  EXPECT_EQ(alpha.value().ReadString().value(), "second");
+  EXPECT_TRUE(alpha.value().AtEnd());
+  auto beta = r.Section("beta");
+  ASSERT_TRUE(beta.ok());
+  EXPECT_EQ(beta.value().ReadU64().value(), 42u);
+}
+
 TEST(PagedSnapshotTest, PeekVersionClassifiesBothFormats) {
   ASSERT_TRUE(AtomicWriteFile("/tmp/tabbin_store_peek2.tbsn",
                               SampleStoreBytes())
@@ -148,9 +192,9 @@ TEST(PagedSnapshotTest, PeekVersionClassifiesBothFormats) {
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2.value(), 2u);
 
-  SnapshotWriter v1w;
-  v1w.AddSection("a")->WriteU64(1);
-  ASSERT_TRUE(v1w.ToFile("/tmp/tabbin_store_peek1.tbsn").ok());
+  ASSERT_TRUE(AtomicWriteFile("/tmp/tabbin_store_peek1.tbsn",
+                              V1StreamBytes({{"a", {1, 0, 0, 0, 0, 0, 0, 0}}}))
+                  .ok());
   auto v1 = PeekSnapshotVersion("/tmp/tabbin_store_peek1.tbsn");
   ASSERT_TRUE(v1.ok());
   EXPECT_EQ(v1.value(), 1u);
@@ -186,6 +230,97 @@ TEST(PagedSnapshotCorruptionTest, TruncationNeverCrashes) {
   }
 }
 
+TEST(PagedSnapshotCorruptionTest, EmptyFileIsParseError) {
+  auto r = OpenBytes({}, "empty");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError)
+      << r.status().ToString();
+}
+
+TEST(PagedSnapshotCorruptionTest, BadMagicIsParseError) {
+  std::vector<uint8_t> bytes = SampleStoreBytes();
+  bytes[0] ^= 0xFF;
+  // Re-stamp the directory checksum so only the magic is wrong.
+  FixDirectoryChecksum(&bytes);
+  auto r = OpenBytes(bytes, "bad_magic");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("magic"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(PagedSnapshotCorruptionTest, FutureVersionIsParseError) {
+  std::vector<uint8_t> bytes = SampleStoreBytes();
+  const uint32_t future = kPagedSnapshotVersion + 7;
+  std::memcpy(bytes.data() + 4, &future, sizeof(future));
+  FixDirectoryChecksum(&bytes);
+  auto r = OpenBytes(bytes, "future_version");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("version"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(PagedSnapshotCorruptionTest, V1StreamIsParseErrorWithRebuildHint) {
+  auto r = OpenBytes(V1StreamBytes({{"a", {1, 2, 3}}}), "v1_stream");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("rebuild"), std::string::npos)
+      << r.status().ToString();
+}
+
+// `count` empty sections named "s<i>"; with `dup`, the last one reuses
+// the first one's name (same length, so the writer's layout holds and
+// only the name bytes change before the checksum is re-stamped).
+std::vector<uint8_t> ManyEmptySections(size_t count, bool dup) {
+  PagedSnapshotWriter w;
+  for (size_t i = 0; i < count; ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "s%07zu", i);
+    w.AddSection(name);
+  }
+  std::vector<uint8_t> bytes = w.Assemble();
+  if (dup) {
+    const std::string first = "s0000000";
+    char last[32];
+    std::snprintf(last, sizeof(last), "s%07zu", count - 1);
+    const auto at = std::search(bytes.begin(), bytes.end(), last, last + 8);
+    EXPECT_NE(at, bytes.end());
+    std::copy(first.begin(), first.end(), at);
+    FixDirectoryChecksum(&bytes);
+  }
+  return bytes;
+}
+
+TEST(PagedSnapshotCorruptionTest, DuplicateSectionNameIsParseError) {
+  for (size_t count : {size_t{2}, size_t{1000}}) {
+    auto r = OpenBytes(ManyEmptySections(count, /*dup=*/true), "dup");
+    ASSERT_FALSE(r.ok()) << count;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find("duplicate section 's0000000'"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// Duplicate detection must stay near-linear in the section count, or a
+// forged directory near kMaxStoreSections stalls a loader for minutes.
+TEST(PagedSnapshotCorruptionTest, ManySectionsOpenInLinearithmicTime) {
+  constexpr size_t kCount = 131072;
+  const std::vector<uint8_t> bytes = ManyEmptySections(kCount, false);
+  const auto start = std::chrono::steady_clock::now();
+  auto r = OpenBytes(bytes, "many_sections");
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_LT(secs, 2.0);
+  EXPECT_EQ(r.value().sections().size(), kCount);
+  EXPECT_TRUE(r.value().HasSection("s0131071"));
+  EXPECT_TRUE(r.value().Section("s0131071").ok());
+  EXPECT_FALSE(r.value().HasSection("s0131072"));
+}
+
 TEST(PagedSnapshotCorruptionTest, FlippedDirectoryByteIsParseError) {
   std::vector<uint8_t> bytes = SampleStoreBytes();
   bytes[25] ^= 0xFF;  // first section's name length
@@ -205,6 +340,20 @@ TEST(PagedSnapshotCorruptionTest, HostileOffsetChainIsParseError) {
   auto r = OpenBytes(bytes, "hostile_offset");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
+
+// A length near UINT64_MAX must fail the bounds check before any
+// offset arithmetic can wrap.
+TEST(PagedSnapshotCorruptionTest, OverflowingSectionLengthIsParseError) {
+  for (uint64_t length : {UINT64_MAX - 3, uint64_t{1} << 40}) {
+    std::vector<uint8_t> bytes = SampleStoreBytes();
+    const size_t length_field = FirstSectionOffsetField(bytes) + 8;
+    WriteU64At(&bytes, length_field, length);
+    FixDirectoryChecksum(&bytes);
+    auto r = OpenBytes(bytes, "hostile_length");
+    ASSERT_FALSE(r.ok()) << "length " << length;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(PagedSnapshotCorruptionTest, HostileAlignmentIsParseError) {
@@ -467,7 +616,7 @@ TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV2) {
   ExpectIdenticalService(svc, *mapped.value());
   ExpectIdenticalService(*heap.value(), *mapped.value());
 
-  // The core loader reads the same store's bridged model sections.
+  // The core loader reads the same store's model sections.
   auto system_load = TabBiNSystem::Load(v2);
   ASSERT_TRUE(system_load.ok()) << system_load.status().ToString();
 }
@@ -611,21 +760,34 @@ TEST(StoreServingTest, CorruptServiceStoreSurfacesAsParseError) {
   }
 }
 
-// The v1 service formats are gone: a v1 stream — a single-service
-// "service.*" file, a "sharded.manifest" file, or a model snapshot —
-// handed to either service loader is ParseError, not a crash and not a
-// silent fall-through to some other reader.
+// The v1 formats are gone: a v1 stream — a single-service "service.*"
+// file, a "sharded.manifest" file, or a model snapshot — handed to
+// either service loader is ParseError, not a crash and not a silent
+// fall-through to some other reader.
 TEST(StoreServingTest, V1ServiceStreamIsRejected) {
+  // The model sections of a v1 model snapshot carry the same bytes as
+  // today's; only the framing differs.
+  PagedSnapshotWriter model;
+  SharedSystem()->AppendTo(&model);
+  auto model_reader = OpenBytes(model.Assemble(), "v1_model_source");
+  ASSERT_TRUE(model_reader.ok()) << model_reader.status().ToString();
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> model_sections;
+  for (const std::string& name : model_reader.value().SectionNames()) {
+    auto span = model_reader.value().SectionSpan(name);
+    ASSERT_TRUE(span.ok());
+    model_sections.emplace_back(
+        name, std::vector<uint8_t>(span.value().data,
+                                   span.value().data + span.value().size));
+  }
   for (const char* corpus_section : {"service.tables", "sharded.manifest",
                                      static_cast<const char*>(nullptr)}) {
     SCOPED_TRACE(corpus_section ? corpus_section : "model snapshot");
-    SnapshotWriter w;
-    SharedSystem()->AppendTo(&w);
+    auto sections = model_sections;
     if (corpus_section != nullptr) {
-      w.AddSection(corpus_section)->WriteU64(0);
+      sections.emplace_back(corpus_section, std::vector<uint8_t>(8, 0));
     }
     const std::string path = "/tmp/tabbin_store_v1_service.tbsn";
-    ASSERT_TRUE(w.ToFile(path).ok());
+    ASSERT_TRUE(AtomicWriteFile(path, V1StreamBytes(sections)).ok());
     ASSERT_EQ(PeekSnapshotVersion(path).value(), 1u);
     auto loaded = TabBinService::Load(path);
     ASSERT_FALSE(loaded.ok());
@@ -635,6 +797,28 @@ TEST(StoreServingTest, V1ServiceStreamIsRejected) {
     ASSERT_FALSE(serving.ok());
     EXPECT_EQ(serving.status().code(), StatusCode::kParseError)
         << serving.status().ToString();
+  }
+}
+
+// A v2 model snapshot (`tabbin_cli save-model`, TabBiNSystem::Save)
+// holds the model sections but no "store.meta": the service loaders
+// name it instead of reporting a missing section.
+TEST(StoreServingTest, ModelSnapshotIsNotAServiceStore) {
+  const std::string path = "/tmp/tabbin_store_model_only.tbsn";
+  ASSERT_TRUE(SharedSystem()->Save(path).ok());
+  ASSERT_TRUE(TabBiNSystem::Load(path).ok());
+  for (int shards : {0, 3}) {
+    auto loaded = TabBinService::Load(path, shards);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(
+                  "model snapshot, not a service store"),
+              std::string::npos)
+        << loaded.status().ToString();
+    auto serving = LoadServing(path, shards);
+    ASSERT_FALSE(serving.ok());
+    EXPECT_EQ(serving.status().code(), StatusCode::kParseError);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace tabbin {
 namespace {
@@ -411,29 +412,29 @@ TEST(NnTest, EncoderForwardAndParamCount) {
 TEST(NnTest, CheckpointRoundTrip) {
   Rng rng(55);
   Linear lin(3, 3, &rng);
-  const std::string path = "/tmp/tabbin_nn_ckpt_test.bin";
-  ASSERT_TRUE(SaveParameters(lin.Parameters(), path).ok());
+  BinaryWriter w;
+  SerializeParameters(lin.Parameters(), &w);
 
   Rng rng2(99);
   Linear lin2(3, 3, &rng2);
   auto params2 = lin2.Parameters();
-  ASSERT_TRUE(LoadParameters(path, &params2).ok());
+  BinaryReader r(w.buffer());
+  ASSERT_TRUE(DeserializeParameters(&r, &params2).ok());
   for (size_t i = 0; i < lin.weight.size(); ++i) {
     EXPECT_FLOAT_EQ(lin.weight.data()[i], lin2.weight.data()[i]);
   }
-  std::remove(path.c_str());
 }
 
 TEST(NnTest, CheckpointRejectsUnknownParameter) {
   Rng rng(56);
   Linear a(2, 2, &rng);
-  const std::string path = "/tmp/tabbin_nn_ckpt_bad.bin";
   ParameterMap renamed;
   renamed["something_else"] = a.weight;
-  ASSERT_TRUE(SaveParameters(renamed, path).ok());
+  BinaryWriter w;
+  SerializeParameters(renamed, &w);
   auto params = a.Parameters();
-  EXPECT_FALSE(LoadParameters(path, &params).ok());
-  std::remove(path.c_str());
+  BinaryReader r(w.buffer());
+  EXPECT_FALSE(DeserializeParameters(&r, &params).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // Tests for the WordPiece tokenizer and vocabulary.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "text/vocab.h"
 #include "text/wordpiece.h"
+#include "util/serialize.h"
 
 namespace tabbin {
 namespace {
@@ -37,14 +36,15 @@ TEST(VocabTest, SaveLoadRoundTrip) {
   Vocab v;
   v.AddToken("alpha");
   v.AddToken("##beta");
-  const std::string path = "/tmp/tabbin_vocab_test.bin";
-  ASSERT_TRUE(v.Save(path).ok());
-  auto loaded = Vocab::Load(path);
+  BinaryWriter w;
+  v.Serialize(&w);
+  BinaryReader r(w.buffer());
+  auto loaded = Vocab::Deserialize(&r);
   ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(loaded.value().size(), v.size());
   EXPECT_EQ(loaded.value().GetId("alpha"), v.GetId("alpha"));
   EXPECT_EQ(loaded.value().GetId("##beta"), v.GetId("##beta"));
-  std::remove(path.c_str());
 }
 
 TEST(PreTokenizeTest, SplitsWordsAndLowercases) {

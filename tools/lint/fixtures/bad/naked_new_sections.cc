@@ -1,6 +1,6 @@
 // Fixture: MUST trip naked-new-sections (and only that rule).
 // Hand-rolls the frozen snapshot container framing instead of going
-// through SnapshotWriter::AddSection, forking the byte format.
+// through PagedSnapshotWriter::AddSection, forking the byte format.
 #include "util/serialize.h"
 
 namespace tabbin {

@@ -35,12 +35,11 @@ kernel-bypass
     drift the PR-5 kernel layer was built to eliminate.
 
 naked-new-sections
-    Snapshot sections are created only through SnapshotWriter/
-    SnapshotReader (and the section constants they define). Code
-    outside util/snapshot.* and the v2 container (store/
-    paged_snapshot.*) must not re-derive the container magic or
-    hand-roll section framing; the byte format is frozen and
-    re-implementations fork it.
+    Snapshot sections are created only through PagedSnapshotWriter/
+    PagedSnapshotReader (store/paged_snapshot.*, which also defines
+    the container magic). Code outside store/paged_snapshot.* must not
+    re-derive the magic or hand-roll section framing; the byte format
+    is frozen and re-implementations fork it.
 
 raw-mmap
     mmap/munmap calls live only in src/store/ (MappedFile is the RAII
@@ -107,7 +106,7 @@ RULES = {
     ),
     "naked-new-sections": (
         "snapshot container magic / section framing re-derived outside "
-        "util/snapshot.* and store/paged_snapshot.*"
+        "store/paged_snapshot.*"
     ),
     "raw-mmap": (
         "raw mmap/munmap outside src/store/ (use store/mapped_file.h)"
@@ -147,10 +146,7 @@ RULE_EXCLUDES = {
         "src/tensor/",
     ],
     "naked-new-sections": [
-        "src/util/snapshot.h",
-        "src/util/snapshot.cc",
-        # The v2 paged container shares the TBSN magic by design (same
-        # vocabulary, bumped version byte; see store/paged_snapshot.h).
+        # The container itself defines the TBSN magic and framing.
         "src/store/paged_snapshot.h",
         "src/store/paged_snapshot.cc",
     ],
@@ -427,8 +423,9 @@ def rule_naked_new_sections(path, code_lines, fn_ranges, mask):
             findings.append(Finding(
                 path, idx + 1, "naked-new-sections",
                 "snapshot container magic re-derived; go through "
-                "SnapshotWriter::AddSection / SnapshotReader::Section "
-                "(util/snapshot.h) — the byte format is frozen"))
+                "PagedSnapshotWriter::AddSection / "
+                "PagedSnapshotReader::Section (store/paged_snapshot.h) "
+                "— the byte format is frozen"))
     return findings
 
 
