@@ -71,11 +71,16 @@ struct ServiceOptions {
   /// sub-linear candidate generation with ef_search as the recall/QPS
   /// knob. Candidates from either generator go through the SAME
   /// accept → (optional int8 shortlist) → exact float rerank pipeline,
-  /// so final ordering is always ServiceMatchOrder. Like the quantized
-  /// knobs, these are runtime scoring knobs and deliberately NOT
-  /// serialized into the "service.options" section; the graph itself
-  /// persists as optional v2 store sections, and SetIndexKind after load
-  /// (or a snapshot carrying the sections) re-enables the graph path.
+  /// so final ordering is always ServiceMatchOrder. Only the active
+  /// generator is maintained and stored: under kHnsw the graph takes
+  /// every insert, the LSH indexes stay empty and a save writes no
+  /// "lsh" sections; switching back to kLsh rebuilds the LSH indexes
+  /// from the stored rows, byte-identical to maintained ones. Like the
+  /// quantized knobs, these are runtime scoring knobs and deliberately
+  /// NOT serialized into the "service.options" section; the graph
+  /// itself persists as optional v2 store sections, and SetIndexKind
+  /// after load (or a snapshot carrying the sections) re-enables the
+  /// graph path.
   int index_kind = 0;  // IndexKind; int keeps the struct aggregate-simple
   /// HNSW degree bound (level 0 keeps 2*m) and build beam width. Build
   /// parameters are part of the graph's identity: the persisted
@@ -184,9 +189,11 @@ class TabBinServing {
   /// \brief Switches the Similar* candidate generator at runtime (see
   /// ServiceOptions::index_kind). Enabling kIndexHnsw builds the
   /// neighbor graphs from the stored rows when no persisted graph is
-  /// present (a fresh corpus or an LSH-saved store); switching back
-  /// to kIndexLsh drops them and restores the reference bucket-probe
-  /// behavior byte for byte. `ef_search <= 0` keeps the current value.
+  /// present (a fresh corpus or an LSH-saved store) and empties the
+  /// LSH indexes; switching back to kIndexLsh rebuilds the LSH indexes
+  /// from the stored rows, drops the graphs, and so restores the
+  /// reference bucket-probe behavior byte for byte. `ef_search <= 0`
+  /// keeps the current value.
   /// Takes each shard's writer lock; not a per-request call.
   virtual void SetIndexKind(IndexKind kind, int ef_search = 0) = 0;
 

@@ -108,22 +108,6 @@ namespace {
 // global top-k exactly.
 constexpr double kLexK1 = 1.2;
 
-double LexicalScore(const std::vector<std::string>& sorted_query_terms,
-                    const DocTermCounts& doc_tf) {
-  double score = 0;
-  for (const auto& term : sorted_query_terms) {
-    auto it = std::lower_bound(
-        doc_tf.begin(), doc_tf.end(), term,
-        [](const std::pair<std::string, int>& entry, const std::string& t) {
-          return entry.first < t;
-        });
-    if (it == doc_tf.end() || it->first != term) continue;
-    const double tf = static_cast<double>(it->second);
-    score += tf * (kLexK1 + 1.0) / (tf + kLexK1);
-  }
-  return score;
-}
-
 ServiceOptions ClampedOptions(ServiceOptions o) {
   o.quantized_shortlist_multiplier =
       std::max(1, o.quantized_shortlist_multiplier);
@@ -188,9 +172,9 @@ Status ServiceShard::TaskIndex::Append(Row row) {
   vecs.AppendRow(row.vec);
   refs.push_back(std::move(row.ref));
   const int id = static_cast<int>(refs.size()) - 1;
-  TABBIN_RETURN_IF_ERROR(row.keys.empty() ? lsh.Insert(id, row.vec)
-                                          : lsh.InsertKeys(id, row.keys));
-  return hnsw ? hnsw->Insert(vecs, id) : Status::OK();
+  if (hnsw) return hnsw->Insert(vecs, id);
+  return row.keys.empty() ? lsh.Insert(id, row.vec)
+                          : lsh.InsertKeys(id, row.keys);
 }
 
 std::vector<int> ServiceShard::TaskIndex::Candidates(
@@ -278,10 +262,13 @@ void ServiceShard::InsertPreparedLocked(PreparedTable&& prepared,
   s.grid_rows = s.table.rows();
   s.grid_cols = s.table.cols();
   s.id = std::move(prepared.id);
-  s.doc_tf = std::move(prepared.doc_tf);
-  for (const auto& [term, count] : s.doc_tf) {
-    lex_postings_[term].push_back(slot);
+  for (auto& [term, count] : prepared.doc_tf) {
+    lex_postings_[std::move(term)].push_back({slot, count});
   }
+  // The postings now hold the only copy; free this one now rather than
+  // when the whole batch is dropped, or a corpus-sized AddTables would
+  // carry every table's term list to the end of its inserts.
+  prepared.doc_tf = DocTermCounts();
   id_to_slot_[s.id] = slot;
   ++live_count_;
 
@@ -367,12 +354,28 @@ void ServiceShard::SetIndexKind(IndexKind kind, int ef_search) {
   WriterMutexLock lock(&mu_);
   if (ef_search > 0) options_.hnsw_ef_search = ef_search;
   options_.index_kind = kind;
-  if (kind != kIndexHnsw) {
-    // Dropping the graphs restores the reference LSH candidate path
-    // byte for byte — the LSH indexes were maintained throughout.
+  const bool graphs = tasks_[kTaskTable].hnsw != nullptr;
+  if (kind != kIndexHnsw && graphs) {
+    // The LSH indexes sat empty while the graphs generated candidates;
+    // rebuilt in row order they equal the buckets an LSH shard would
+    // have maintained, so the reference path returns byte for byte.
+    BuildLshLocked();
     for (TaskIndex& index : tasks_) index.hnsw.reset();
-  } else if (!tasks_[kTaskTable].hnsw) {
+  } else if (kind == kIndexHnsw && !graphs) {
     BuildHnswLocked();
+    for (TaskIndex& index : tasks_) index.lsh.Clear();
+  }
+}
+
+void ServiceShard::BuildLshLocked() {
+  // Every row, tombstoned slots' and mapped ones included: an LSH shard
+  // keeps dead rows in its buckets until Compact, and the `candidates`
+  // counts (and the saved bytes) must match it.
+  for (TaskIndex& index : tasks_) {
+    index.lsh.Clear();
+    for (size_t r = 0; r < index.vecs.rows(); ++r) {
+      MustInsert(index.lsh.Insert(static_cast<int>(r), index.vecs.row(r)));
+    }
   }
 }
 
@@ -614,23 +617,34 @@ ServiceShard::AskPartial ServiceShard::AskCandidates(
   // analyzed as separate functions that cannot see this frame's lock).
   const std::vector<TableSlot>& slots = slots_;
 
-  // Lexical stage: candidate slots come from the per-term postings
-  // (only docs sharing a query term can score > 0 — exactly the old
-  // full scan's surviving set, at postings cost instead of
-  // O(live corpus) per query), each scored by doc-local saturated tf.
-  std::vector<std::pair<double, int>> lex;  // (score, slot)
+  // Lexical stage, term-at-a-time over the postings: only docs sharing
+  // a query term can score > 0, at postings cost instead of O(live
+  // corpus) per query. Each term adds its doc-local saturated tf into
+  // the slot's accumulator; the terms arrive sorted, so every document
+  // sums the same contributions in the same order as a per-document
+  // pass over the sorted terms would — bit-identical doubles.
+  std::vector<double> acc(slots_.size(), 0.0);
+  std::vector<int> touched;  // first-seen order
   std::vector<bool> seen(slots_.size());
   for (const auto& term : query_terms) {
     auto postings = lex_postings_.find(term);
     if (postings == lex_postings_.end()) continue;
-    for (int s : postings->second) {
-      if (!slots_[static_cast<size_t>(s)].live) continue;
-      if (seen[static_cast<size_t>(s)]) continue;
-      seen[static_cast<size_t>(s)] = true;
-      const double score =
-          LexicalScore(query_terms, slots_[static_cast<size_t>(s)].doc_tf);
-      if (score > 0) lex.emplace_back(score, s);
+    for (const Posting& p : postings->second) {
+      const size_t s = static_cast<size_t>(p.slot);
+      if (!slots_[s].live) continue;
+      if (!seen[s]) {
+        seen[s] = true;
+        touched.push_back(p.slot);
+      }
+      const double tf = static_cast<double>(p.count);
+      acc[s] += tf * (kLexK1 + 1.0) / (tf + kLexK1);
     }
+  }
+  std::vector<std::pair<double, int>> lex;  // (score, slot)
+  lex.reserve(touched.size());
+  for (int s : touched) {
+    const double score = acc[static_cast<size_t>(s)];
+    if (score > 0) lex.emplace_back(score, s);
   }
   // (lex desc, id asc) is a strict total order over distinct slots, so
   // the bounded SelectTopK cut equals full sort + truncate exactly; the
@@ -717,13 +731,35 @@ Result<Table> ServiceShard::MaterializeTableLocked(const TableSlot& s) const {
   return TableFromJson(json);
 }
 
+std::vector<std::vector<std::pair<const std::string*, int>>>
+ServiceShard::SlotTermsLocked() const {
+  // One pass over the postings hands every live slot its (term, count)
+  // pairs, in hash order: only a save needs them sorted, and sorting
+  // here would lengthen every Compact's writer-lock hold by about a
+  // fifth.
+  std::vector<std::vector<std::pair<const std::string*, int>>> terms(
+      slots_.size());
+  for (const auto& [term, postings] : lex_postings_) {
+    for (const Posting& p : postings) {
+      const size_t s = static_cast<size_t>(p.slot);
+      if (slots_[s].live) terms[s].emplace_back(&term, p.count);
+    }
+  }
+  return terms;
+}
+
 Status ServiceShard::ExportLiveLocked(std::vector<PreparedTable>* out) const {
-  for (const TableSlot& s : slots_) {
+  const auto terms = SlotTermsLocked();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const TableSlot& s = slots_[i];
     if (!s.live) continue;
     PreparedTable rows;
     TABBIN_ASSIGN_OR_RETURN(rows.table, MaterializeTableLocked(s));
     rows.id = s.id;
-    rows.doc_tf = s.doc_tf;
+    rows.doc_tf.reserve(terms[i].size());
+    for (const auto& [term, count] : terms[i]) {
+      rows.doc_tf.emplace_back(*term, count);
+    }
     for (int t = 0; t < kNumServiceTasks; ++t) {
       const TaskIndex& index = tasks_[t];
       for (int r = s.rows[t].begin; r >= 0 && r < s.rows[t].end; ++r) {

@@ -3,9 +3,11 @@
 // A shard owns everything needed to answer similarity and grounding
 // queries over its subset of the corpus: the table slots (live +
 // tombstoned), one TaskIndex per serving task (tables, columns,
-// entities: a flat embedding matrix, its refs, an LSH index and an
-// optional HNSW graph), the doc-local lexical statistics behind Ask,
-// and one SharedMutex (util/mutex.h, the annotated std::shared_mutex).
+// entities: a flat embedding matrix, its refs, and ONE candidate
+// generator — an LSH index or an HNSW graph, whichever is active), the
+// lexical postings behind Ask (term -> (slot, count), the only copy of
+// the doc-local term counts), and one SharedMutex (util/mutex.h, the
+// annotated std::shared_mutex).
 // TabBinService (service/sharded_service.h) hash-partitions the corpus
 // across N >= 1 of them so a write to one shard never blocks reads on
 // the others.
@@ -74,10 +76,11 @@ Status CheckQueryCell(ServiceTask task, int rows, int cols, int row, int col);
 /// per-shard ranking and every cross-shard merge sorts by.
 bool ServiceMatchOrder(const ServiceMatch& a, const ServiceMatch& b);
 
-/// \brief A table's Ask document term counts: (term, count) pairs
-/// sorted by term, each term once. One flat vector per table instead
-/// of a hash map keeps a store restore to one allocation per slot; the
-/// lexical gate looks terms up by binary search.
+/// \brief A table's Ask document term counts: (term, count) pairs,
+/// each term once, sorted by term when Prepare derives them (an export
+/// reads them back from the postings unsorted; the postings do not
+/// depend on the order). The exchange format between Prepare, export
+/// and the shard's postings, which keep the only resident copy.
 using DocTermCounts = std::vector<std::pair<std::string, int>>;
 
 /// \brief Term counts of a table's Ask document text — THE lexical
@@ -129,14 +132,15 @@ class ServiceShard {
     std::vector<uint64_t> keys;
   };
 
-  /// \brief One task's index: row i of `vecs` ↔ refs[i] ↔ LSH id i ↔
-  /// graph node i.
+  /// \brief One task's index: row i of `vecs` ↔ refs[i] ↔ LSH id i (or
+  /// graph node i).
   struct TaskIndex {
     /// Empty index with the service's LSH geometry; the int8 sidecar and
     /// the graph are set up when the options turn them on.
     TaskIndex(int dim, const ServiceOptions& options);
 
-    /// Appends one row to the matrix, refs, LSH index and graph.
+    /// Appends one row to the matrix, the refs and the active generator:
+    /// the graph when one exists, the LSH index otherwise — never both.
     Status Append(Row row);
 
     /// The candidate generator: a graph walk with beam `beam` when the
@@ -146,12 +150,15 @@ class ServiceShard {
                                 const std::vector<uint64_t>& keys,
                                 int beam) const;
 
+    // Holds every row while `hnsw` is null and stays empty (hyperplanes
+    // only) while it is set: only the active generator is maintained.
+    // Switching back to LSH rebuilds the buckets from the matrix rows in
+    // row order, which reproduces the incrementally built index byte
+    // for byte (same hyperplanes, same insertion order).
     LshIndex lsh;
     EmbeddingMatrix vecs;
     std::vector<Ref> refs;
-    // Non-null exactly when options.index_kind == kIndexHnsw. The LSH
-    // index is ALWAYS maintained — it costs little and restores the
-    // reference path byte for byte when the graph is dropped.
+    // Non-null exactly when options.index_kind == kIndexHnsw.
     std::unique_ptr<HnswIndex> hnsw;
   };
 
@@ -180,25 +187,32 @@ class ServiceShard {
     // exactly one table row (slot i owns table row i), a contiguous
     // column range, a contiguous entity range.
     std::array<RowRange, kNumServiceTasks> rows;
-    // Doc-local lexical stats for the Ask gate (term counts over the
-    // serialized table text, sorted by term). Derived in Prepare; the
-    // v2 paged store persists it in the same order, so a mapped restore
-    // rebuilds the postings without parsing any table JSON.
-    DocTermCounts doc_tf;
+    // A slot's Ask term counts live only in the shard's LexPostings;
+    // save and export read them back per slot (SlotTermsLocked).
   };
 
-  /// \brief Shard-local inverted index for the Ask lexical stage:
-  /// term -> slots whose documents contain it. Candidate generation
-  /// probes only the query's terms instead of scanning every live slot.
-  /// Like the LSH indexes, entries for tombstoned slots linger (filtered
-  /// by liveness at query time) until Compact rebuilds.
-  using LexPostings = std::unordered_map<std::string, std::vector<int>>;
+  /// \brief One posting: a slot whose Ask document contains the term,
+  /// and how often (the doc-local term count the lexical score reads).
+  struct Posting {
+    int slot = -1;
+    int count = 0;
+  };
+
+  /// \brief Shard-local inverted index for the Ask lexical stage, and
+  /// the only copy of every slot's Ask term counts: term -> postings in
+  /// slot order. Scoring runs term-at-a-time over the query's terms
+  /// instead of scanning every live slot. Like the LSH indexes, entries
+  /// for tombstoned slots linger (filtered by liveness at query time)
+  /// until Compact rebuilds.
+  using LexPostings = std::unordered_map<std::string, std::vector<Posting>>;
 
   /// \brief Everything an insert needs from one table, derived before
   /// any lock is taken: the table, its serving id, its Ask document term
-  /// counts (ServiceDocTermFrequencies) and its index rows per task,
-  /// whose refs get their `slot` on insert. It is also the exchange
-  /// format of Compact and re-partitioning, whose rows carry no keys.
+  /// counts (ServiceDocTermFrequencies; the insert moves them into the
+  /// postings) and its index rows per task, whose refs get their `slot`
+  /// on insert. It is also the exchange format of Compact and
+  /// re-partitioning, whose rows carry no keys and whose term counts are
+  /// read back from the postings.
   struct PreparedTable {
     Table table;
     std::string id;
@@ -248,8 +262,10 @@ class ServiceShard {
   /// ServiceOptions::index_kind). Enabling kIndexHnsw builds the three
   /// neighbor graphs from the stored rows when absent (a fresh corpus
   /// or an LSH-saved store — a restore that found graph sections
-  /// already has them); kIndexLsh drops the graphs and restores the
-  /// reference bucket-probe path byte for byte. Writer lock.
+  /// already has them), then empties the LSH indexes; kIndexLsh
+  /// rebuilds the LSH indexes from the stored rows in row order, then
+  /// drops the graphs, which restores the reference bucket-probe path
+  /// byte for byte. Writer lock.
   void SetIndexKind(IndexKind kind, int ef_search) TABBIN_EXCLUDES(mu_);
 
   /// \brief Rebuilds every index over the live tables only, from their
@@ -350,9 +366,11 @@ class ServiceShard {
   // --- Paged store persistence (service/shard_store.cc) -----------------
 
   /// \brief Writes this shard's full state (slots incl. tombstones,
-  /// refs, embedding blocks, inverse norms, LSH indexes, table JSON
-  /// blob) as "<prefix>meta/json/norms/lsh/tbl/col/ent" sections. The
-  /// embedding blocks land page-aligned so a reader can map them.
+  /// refs, embedding blocks, inverse norms, table JSON blob, and the
+  /// active generator) as "<prefix>meta/json/norms/tbl/col/ent"
+  /// sections plus "<prefix>lsh" (LSH shards) or the "<prefix>hnsw.*"
+  /// graph sections (graph shards). The embedding blocks land
+  /// page-aligned so a reader can map them.
   void AppendStoreSections(PagedSnapshotWriter* w,
                            const std::string& prefix) const
       TABBIN_EXCLUDES(mu_);
@@ -395,6 +413,17 @@ class ServiceShard {
   /// (in row order — deterministic), marking rows of tombstoned slots
   /// dead. Writer lock held by the caller.
   void BuildHnswLocked() TABBIN_REQUIRES(mu_);
+
+  /// \brief Rebuilds the three LSH indexes from the current matrix rows
+  /// in row order, tombstoned and mapped rows included — the buckets an
+  /// LSH shard would have maintained incrementally. Writer lock held.
+  void BuildLshLocked() TABBIN_REQUIRES(mu_);
+
+  /// \brief Every live slot's Ask term counts read back from the
+  /// postings, in no particular order (dead slots get an empty list).
+  /// The term pointers point into lex_postings_'s keys.
+  std::vector<std::vector<std::pair<const std::string*, int>>>
+  SlotTermsLocked() const TABBIN_REQUIRES_SHARED(mu_);
 
   /// \brief Marks every index row owned by `s` dead in the graphs
   /// (no-op when the graph path is off).

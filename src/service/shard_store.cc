@@ -1,13 +1,21 @@
 // ServiceShard persistence for the TBSN v2 paged store
-// (store/paged_snapshot.h). One shard becomes seven sections under a
+// (store/paged_snapshot.h). One shard becomes a group of sections under a
 // caller-chosen prefix (e.g. "store.s0."):
 //
-//   <p>meta   slots (live + tombstoned, verbatim), refs, matrix dims
+//   <p>meta   slots (live + tombstoned, verbatim, with each live slot's
+//             Ask term counts), refs, matrix dims
 //   <p>json   concatenated table JSON blobs (addressed from meta)
 //   <p>norms  cached inverse norms of the three matrices
-//   <p>lsh    the three serialized LSH indexes
+//   <p>lsh    the three serialized LSH indexes (LSH shards only)
 //   <p>tbl / <p>col / <p>ent
 //             raw row-major f32 embedding blocks, page-aligned
+//   <p>hnsw.{tbl,col,ent}.{meta,0}
+//             the three neighbor graphs (graph shards only)
+//
+// Only the active candidate generator is written: a graph shard keeps
+// no LSH buckets (ServiceShard::TaskIndex), so its store has no lsh
+// section, and a restore that finds graph sections never reads one
+// (older graph stores still carry it; it is skipped).
 //
 // The split is what buys the O(ms) cold start: meta/norms/lsh are
 // metadata-sized, checksummed on open and parsed in place off the
@@ -151,10 +159,12 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
                                        const std::string& prefix) const {
   ReaderMutexLock lock(&mu_);
 
+  auto terms = SlotTermsLocked();
   BinaryWriter* json = w->AddSection(prefix + "json");
   BinaryWriter* meta = w->AddSection(prefix + "meta");
   meta->WriteU64(slots_.size());
-  for (const TableSlot& s : slots_) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const TableSlot& s = slots_[i];
     meta->WriteString(s.id);
     meta->WriteI32(s.live ? 1 : 0);
     meta->WriteString(s.caption);
@@ -178,11 +188,14 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
     meta->WriteU64(off);
     meta->WriteU64(json->buffer().size() - off);
     if (s.live) {
-      // Already sorted by term, so identical state writes identical
-      // bytes.
-      meta->WriteU64(s.doc_tf.size());
-      for (const auto& [term, count] : s.doc_tf) {
-        meta->WriteString(term);
+      // Sorted by term, so identical state writes identical bytes.
+      auto& list = terms[i];
+      std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+        return *a.first < *b.first;
+      });
+      meta->WriteU64(list.size());
+      for (const auto& [term, count] : list) {
+        meta->WriteString(*term);
         meta->WriteI32(count);
       }
     }
@@ -204,8 +217,14 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
                       index.vecs.rows() * sizeof(float));
   }
 
-  BinaryWriter* lsh = w->AddSection(prefix + "lsh");
-  for (const TaskIndex& index : tasks_) index.lsh.Serialize(lsh);
+  // A graph shard's LSH indexes are empty; only an LSH shard writes
+  // them.
+  bool graphs = true;
+  for (const TaskIndex& index : tasks_) graphs = graphs && index.hnsw;
+  if (!graphs) {
+    BinaryWriter* lsh = w->AddSection(prefix + "lsh");
+    for (const TaskIndex& index : tasks_) index.lsh.Serialize(lsh);
+  }
 
   for (int t = 0; t < kNumServiceTasks; ++t) {
     tasks_[t].vecs.AppendRowBytes(
@@ -218,8 +237,6 @@ void ServiceShard::AppendStoreSections(PagedSnapshotWriter* w,
   // block the loader borrows zero-copy. Absent sections (the default
   // LSH configuration) leave the file byte-identical to a pre-graph
   // save; presence of the sections IS the persisted index_kind knob.
-  bool graphs = true;
-  for (const TaskIndex& index : tasks_) graphs = graphs && index.hnsw;
   if (!graphs) return;
   for (int t = 0; t < kNumServiceTasks; ++t) {
     const std::string stem = prefix + "hnsw." + kStem[t];
@@ -283,21 +300,23 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
         return Status::ParseError(
             "paged store: term-frequency count past end of section");
       }
-      s.doc_tf.reserve(static_cast<size_t>(n_tf));
       const int slot = static_cast<int>(i);
+      // Straight into the postings; `prev` points at the previous
+      // term's key there (node keys never move).
+      const std::string* prev = nullptr;
       for (uint64_t t = 0; t < n_tf; ++t) {
         TABBIN_ASSIGN_OR_RETURN(std::string term, meta.ReadString());
         TABBIN_ASSIGN_OR_RETURN(int32_t count, meta.ReadI32());
-        // The lexical gate binary-searches these, so the order the
-        // writer produced is part of the format.
-        if (!s.doc_tf.empty() && !(s.doc_tf.back().first < term)) {
+        // Strictly ascending is part of the format: a repeated term
+        // would post the slot twice and double its lexical score, and
+        // the writer's order is what makes a re-save byte-identical.
+        if (prev != nullptr && !(*prev < term)) {
           return Status::ParseError(
               "paged store: doc terms out of order or repeated");
         }
-        s.doc_tf.emplace_back(std::move(term), count);
-      }
-      for (const auto& [term, count] : s.doc_tf) {
-        lex_postings_[term].push_back(slot);
+        auto posting = lex_postings_.try_emplace(std::move(term)).first;
+        posting->second.push_back({slot, count});
+        prev = &posting->first;
       }
       if (!id_to_slot_.emplace(s.id, slot).second) {
         return Status::ParseError(
@@ -407,15 +426,6 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
                                 keepalive, inv_norms[t].data());
   }
 
-  TABBIN_ASSIGN_OR_RETURN(BinaryReader lsh, reader.Section(prefix + "lsh"));
-  for (int t = 0; t < kNumServiceTasks; ++t) {
-    TABBIN_ASSIGN_OR_RETURN(tasks_[t].lsh, LshIndex::Deserialize(&lsh));
-    if (tasks_[t].lsh.dim() != ServiceTaskDim(*system_, t)) {
-      return Status::ParseError(
-          "paged store: LSH width disagrees with the system");
-    }
-  }
-
   // HNSW graph sections are optional (pre-graph snapshots and the
   // default LSH configuration have none); if any is present all six
   // must be. Metadata parses through the checksummed Section reader;
@@ -430,6 +440,16 @@ Status ServiceShard::RestoreFromStore(const PagedSnapshotReader& reader,
                reader.HasSection(name + "0");
   }
   if (!any_hnsw) {
+    // Without graphs the LSH indexes are the generator and required.
+    TABBIN_ASSIGN_OR_RETURN(BinaryReader lsh,
+                            reader.Section(prefix + "lsh"));
+    for (int t = 0; t < kNumServiceTasks; ++t) {
+      TABBIN_ASSIGN_OR_RETURN(tasks_[t].lsh, LshIndex::Deserialize(&lsh));
+      if (tasks_[t].lsh.dim() != ServiceTaskDim(*system_, t)) {
+        return Status::ParseError(
+            "paged store: LSH width disagrees with the system");
+      }
+    }
     store_keepalive_ = std::move(keepalive);
     return Status::OK();
   }

@@ -49,8 +49,8 @@ class MappedFile {
  public:
   /// \brief Maps `path` read-only. Missing/unreadable files come back
   /// as IoError. Zero-byte files map successfully with an empty span.
-  /// `max_bytes` guards the fallback path (and hostile sizes generally)
-  /// the same way BinaryReader::FromFile does.
+  /// A file larger than `max_bytes` is OutOfRange before anything is
+  /// mapped or allocated, on the mapped and the fallback path alike.
   static Result<MappedFile> Open(
       const std::string& path,
       uint64_t max_bytes = kDefaultMaxMappedBytes);

@@ -66,28 +66,6 @@ Status AtomicWriteFile(const std::string& path,
   return Status::OK();
 }
 
-Result<uint32_t> PeekSnapshotVersion(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    return Status::IoError("snapshot: cannot open '" + path + "'");
-  }
-  uint8_t head[8];
-  const size_t got = std::fread(head, 1, sizeof(head), f);
-  std::fclose(f);
-  if (got != sizeof(head)) {
-    return Status::ParseError("snapshot: '" + path +
-                              "' is too short to hold a TBSN header");
-  }
-  uint32_t magic, version;
-  std::memcpy(&magic, head, sizeof(magic));
-  std::memcpy(&version, head + 4, sizeof(version));
-  if (magic != kSnapshotMagic) {
-    return Status::ParseError("snapshot: '" + path +
-                              "' does not start with the TBSN magic");
-  }
-  return version;
-}
-
 // --- Writer ---------------------------------------------------------------
 
 BinaryWriter* PagedSnapshotWriter::AddSection(const std::string& name,

@@ -69,12 +69,6 @@ inline constexpr uint64_t kMaxStoreAlign = 1u << 20;
 Status AtomicWriteFile(const std::string& path,
                        const std::vector<uint8_t>& bytes);
 
-/// \brief Reads just enough of `path` to classify it: the snapshot
-/// format version behind a validated magic (2, or 1 for a retired
-/// stream file). IoError on open/short-read, ParseError on a foreign
-/// magic.
-Result<uint32_t> PeekSnapshotVersion(const std::string& path);
-
 /// \brief Assembles named, aligned sections into one v2 snapshot.
 class PagedSnapshotWriter {
  public:

@@ -114,6 +114,11 @@ Status LshIndex::InsertKeys(int id, const std::vector<uint64_t>& keys) {
   return Status::OK();
 }
 
+void LshIndex::Clear() {
+  tables_.assign(static_cast<size_t>(num_tables_), {});
+  count_ = 0;
+}
+
 void LshIndex::Serialize(BinaryWriter* w) const {
   w->WriteI32(dim_);
   w->WriteI32(num_bits_);

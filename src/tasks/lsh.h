@@ -70,6 +70,10 @@ class LshIndex {
   /// bucket hits plus size() / 64 (a bitmap over the dense ids).
   std::vector<int> QueryByKeys(const std::vector<uint64_t>& keys) const;
 
+  /// \brief Drops every bucket and resets size() to 0; the hyperplanes
+  /// (and so every key a vector hashes to) stay as they are.
+  void Clear();
+
   int dim() const { return dim_; }
 
   int size() const { return count_; }

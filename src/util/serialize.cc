@@ -1,6 +1,6 @@
 #include "util/serialize.h"
 
-#include <cstdio>
+#include <cstring>
 
 namespace tabbin {
 
@@ -11,50 +11,6 @@ uint64_t Fnv1a64(const uint8_t* data, size_t n) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-Status BinaryWriter::ToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return Status::IoError("cannot open for write: " + path);
-  size_t written = buf_.empty() ? 0 : std::fwrite(buf_.data(), 1, buf_.size(), f);
-  std::fclose(f);
-  if (written != buf_.size()) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Result<BinaryReader> BinaryReader::FromFile(const std::string& path,
-                                            uint64_t max_bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return Status::IoError("cannot open for read: " + path);
-  // ftell can legitimately fail (pipes, directories, >2GiB on 32-bit
-  // longs); a negative size cast to size_t would request an enormous
-  // allocation, so every step is checked.
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek to end of " + path);
-  }
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::IoError("cannot determine size of " + path);
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot rewind " + path);
-  }
-  if (static_cast<uint64_t>(size) > max_bytes) {
-    std::fclose(f);
-    return Status::OutOfRange(
-        "refusing to load " + path + ": " + std::to_string(size) +
-        " bytes exceeds the " + std::to_string(max_bytes) + " byte cap");
-  }
-  std::vector<uint8_t> buf(static_cast<size_t>(size));
-  size_t got = size ? std::fread(buf.data(), 1, buf.size(), f) : 0;
-  std::fclose(f);
-  if (got != buf.size()) return Status::IoError("short read from " + path);
-  return BinaryReader(std::move(buf));
 }
 
 std::vector<uint8_t> BinaryReader::TakeBuffer() && {

@@ -41,9 +41,6 @@ class BinaryWriter {
   /// \brief Moves the buffer out (the writer is spent afterwards).
   std::vector<uint8_t> TakeBuffer() && { return std::move(buf_); }
 
-  /// \brief Writes the buffer to a file; overwrites existing content.
-  Status ToFile(const std::string& path) const;
-
  private:
   void WriteRaw(const void* data, size_t n) {
     if (n == 0) return;  // empty vectors hand over a null data()
@@ -55,7 +52,7 @@ class BinaryWriter {
 
 /// \brief Reads primitives back from a byte buffer.
 ///
-/// Either owns its bytes (the vector constructor, FromFile) or borrows
+/// Either owns its bytes (the vector constructor) or borrows
 /// them (the pointer constructor): a borrowing reader parses in place,
 /// e.g. straight off a mapped snapshot section, and the caller keeps
 /// the bytes alive and unchanged for the reader's lifetime. Reads behave
@@ -85,17 +82,6 @@ class BinaryReader {
   }
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
-
-  // 1 GiB: generous for every file this reader loads, small enough
-  // that a hostile path can never turn the pre-validation read into a
-  // multi-GiB allocation.
-  static constexpr uint64_t kDefaultMaxFileBytes = 1ull << 30;
-
-  /// \brief Loads a whole file into a reader. Files larger than
-  /// `max_bytes` are rejected with OutOfRange BEFORE any allocation —
-  /// the size check is the first validation, not the last.
-  static Result<BinaryReader> FromFile(
-      const std::string& path, uint64_t max_bytes = kDefaultMaxFileBytes);
 
   Result<uint32_t> ReadU32() { return ReadPod<uint32_t>(); }
   Result<uint64_t> ReadU64() { return ReadPod<uint64_t>(); }

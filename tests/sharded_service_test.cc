@@ -427,6 +427,8 @@ TEST(ShardedServiceStressTest, WriterCompletesWhileReadersHammerOtherShards) {
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::atomic<long> responses{0};
+  // A latch: each reader counts itself in after its first response.
+  std::atomic<int> readers_in{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
@@ -434,6 +436,7 @@ TEST(ShardedServiceStressTest, WriterCompletesWhileReadersHammerOtherShards) {
       // 100% duty cycle: no sleeps between queries — exactly the load
       // shape that starved the single-lock writer in PR 3.
       size_t i = static_cast<size_t>(r) % reader_tables.size();
+      bool counted_in = false;
       while (!stop.load(std::memory_order_relaxed)) {
         const Table& t = *reader_tables[i];
         i = (i + 1) % reader_tables.size();
@@ -443,12 +446,32 @@ TEST(ShardedServiceStressTest, WriterCompletesWhileReadersHammerOtherShards) {
           continue;
         }
         ++responses;
+        if (!counted_in) {
+          counted_in = true;
+          ++readers_in;
+        }
         const auto& matches = resp.value().matches;
         for (size_t m = 1; m < matches.size(); ++m) {
           if (matches[m].score > matches[m - 1].score) ++failures;
         }
       }
     });
+  }
+
+  // The writer starts only once every reader is hammering: its adds and
+  // removes take milliseconds and could otherwise finish before any
+  // reader completes a query, which would prove nothing.
+  const auto latch_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (readers_in.load() < kReaders &&
+         std::chrono::steady_clock::now() < latch_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (readers_in.load() < kReaders) {
+    stop = true;
+    for (auto& t : readers) t.join();
+    FAIL() << "only " << readers_in.load() << " of " << kReaders
+           << " readers answered a query within 60 s";
   }
 
   // The writer streams adds and removes against its own shard.

@@ -39,12 +39,6 @@ std::vector<Table> SampleTables() {
   return tables;
 }
 
-Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  BinaryWriter w;
-  w.WriteBytes(bytes.data(), bytes.size());
-  return w.ToFile(path);
-}
-
 // Writes `w` to /tmp and opens it, as every v2 loader does.
 Result<PagedSnapshotReader> WriteAndOpen(const PagedSnapshotWriter& w,
                                          const std::string& name) {
@@ -96,16 +90,6 @@ TEST(BinaryReaderHardeningTest, ReadBytesPastEndRejected) {
   BinaryReader r(std::vector<uint8_t>{1, 2, 3});
   EXPECT_FALSE(r.ReadBytes(4).ok());
   EXPECT_TRUE(r.ReadBytes(3).ok());
-}
-
-TEST(BinaryReaderHardeningTest, EmptyFileYieldsEmptyReader) {
-  const std::string path = "/tmp/tabbin_snap_empty.bin";
-  ASSERT_TRUE(WriteFile(path, {}).ok());
-  auto r = BinaryReader::FromFile(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().AtEnd());
-  EXPECT_FALSE(r.value().ReadU32().ok());
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +302,7 @@ TEST(SnapshotTest, SystemLoadRejectsV1StreamWithRebuildHint) {
   v1.WriteU32(16);
   v1.WriteU64(Fnv1a64(v1.buffer().data(), v1.buffer().size()));
   const std::string path = "/tmp/tabbin_snap_v1_model.tbsn";
-  ASSERT_TRUE(v1.ToFile(path).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, v1.buffer()).ok());
   auto loaded = TabBiNSystem::Load(path);
   std::remove(path.c_str());
   ASSERT_FALSE(loaded.ok());

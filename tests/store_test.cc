@@ -184,34 +184,6 @@ TEST(PagedSnapshotTest, AddSectionResumesAnExistingSection) {
   EXPECT_EQ(beta.value().ReadU64().value(), 42u);
 }
 
-TEST(PagedSnapshotTest, PeekVersionClassifiesBothFormats) {
-  ASSERT_TRUE(AtomicWriteFile("/tmp/tabbin_store_peek2.tbsn",
-                              SampleStoreBytes())
-                  .ok());
-  auto v2 = PeekSnapshotVersion("/tmp/tabbin_store_peek2.tbsn");
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2.value(), 2u);
-
-  ASSERT_TRUE(AtomicWriteFile("/tmp/tabbin_store_peek1.tbsn",
-                              V1StreamBytes({{"a", {1, 0, 0, 0, 0, 0, 0, 0}}}))
-                  .ok());
-  auto v1 = PeekSnapshotVersion("/tmp/tabbin_store_peek1.tbsn");
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(v1.value(), 1u);
-
-  ASSERT_TRUE(AtomicWriteFile("/tmp/tabbin_store_peekx.tbsn",
-                              {'n', 'o', 'p', 'e', 0, 0, 0, 0})
-                  .ok());
-  EXPECT_EQ(PeekSnapshotVersion("/tmp/tabbin_store_peekx.tbsn")
-                .status()
-                .code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(PeekSnapshotVersion("/tmp/tabbin_store_missing.tbsn")
-                .status()
-                .code(),
-            StatusCode::kIoError);
-}
-
 TEST(PagedSnapshotCorruptionTest, TruncationNeverCrashes) {
   const std::vector<uint8_t> bytes = SampleStoreBytes();
   // Every prefix class: inside the fixed header, inside the directory,
@@ -405,18 +377,6 @@ TEST(PagedSnapshotTest, NoMmapFallbackServesIdenticalBytes) {
   EXPECT_EQ(std::memcmp(a.value().data, b.value().data, a.value().size), 0);
 }
 
-TEST(BinaryReaderFileCapTest, OversizedFileRejectedBeforeAllocation) {
-  ASSERT_TRUE(AtomicWriteFile("/tmp/tabbin_store_cap.bin",
-                              std::vector<uint8_t>(100, 0x42))
-                  .ok());
-  auto capped = BinaryReader::FromFile("/tmp/tabbin_store_cap.bin", 10);
-  ASSERT_FALSE(capped.ok());
-  EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
-  auto fits = BinaryReader::FromFile("/tmp/tabbin_store_cap.bin", 100);
-  ASSERT_TRUE(fits.ok());
-  EXPECT_EQ(fits.value().remaining(), 100u);
-}
-
 // --------------------------------------------------------------------------
 // Generation directories
 // --------------------------------------------------------------------------
@@ -589,6 +549,29 @@ class ScopedNoMmap {
   std::string prev_;
 };
 
+// The size cap is the first check MappedFile::Open makes, before any
+// mapping or allocation, on both the mapped and the heap-fallback path.
+TEST(MappedFileTest, OpenRejectsFilesOverTheCap) {
+  const std::string path = "/tmp/tabbin_store_cap.bin";
+  ASSERT_TRUE(AtomicWriteFile(path, std::vector<uint8_t>(100, 0x42)).ok());
+  for (bool no_mmap : {false, true}) {
+    SCOPED_TRACE(no_mmap ? "heap fallback" : "default");
+    std::unique_ptr<ScopedNoMmap> env;
+    if (no_mmap) env = std::make_unique<ScopedNoMmap>();
+    auto capped = MappedFile::Open(path, 10);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
+    auto fits = MappedFile::Open(path, 100);
+    ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+    EXPECT_EQ(fits.value().size(), 100u);
+    EXPECT_EQ(fits.value().bytes().data[99], 0x42);
+    if (no_mmap) {
+      EXPECT_FALSE(fits.value().is_mapped());
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV2) {
   const auto& tables = SharedCorpus().corpus.tables;
   TabBinService svc(SharedSystem());
@@ -599,7 +582,6 @@ TEST(StoreServingTest, MappedV2AnswersIdenticalToHeapV2) {
 
   const std::string v2 = "/tmp/tabbin_store_svc_v2.tbsn";
   ASSERT_TRUE(svc.Save(v2).ok());
-  ASSERT_EQ(PeekSnapshotVersion(v2).value(), 2u);
 
   // The heap open reads the whole file and serves the same spans the
   // mapping would (MmapDisabledByEnv is consulted on every open).
@@ -788,7 +770,6 @@ TEST(StoreServingTest, V1ServiceStreamIsRejected) {
     }
     const std::string path = "/tmp/tabbin_store_v1_service.tbsn";
     ASSERT_TRUE(AtomicWriteFile(path, V1StreamBytes(sections)).ok());
-    ASSERT_EQ(PeekSnapshotVersion(path).value(), 1u);
     auto loaded = TabBinService::Load(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
@@ -1176,9 +1157,10 @@ bool MangleDocTerms(
   return mangled;
 }
 
-// The lexical gate binary-searches each slot's doc terms, so the store
-// must hold them strictly ascending: a forged meta whose terms are out
-// of order, or name one term twice, is ParseError.
+// The store holds each slot's doc terms strictly ascending: a repeated
+// term would post the slot twice and double its lexical score, and the
+// order is what makes a re-save byte-identical. A forged meta whose
+// terms are out of order, or name one term twice, is ParseError.
 TEST_F(ShardedStoreCorruptionTest, DocTermsOutOfOrderOrRepeatedRejected) {
   // Unmangled, the rewrite reproduces the section exactly.
   auto same = sections_;
@@ -1307,6 +1289,128 @@ TEST(StoreServingTest, MetaFlagWordZeroStillLoads) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value()->num_shards(), 1);
   ExpectIdenticalService(svc, *loaded.value());
+}
+
+// --------------------------------------------------------------------------
+// One candidate generator per shard
+// --------------------------------------------------------------------------
+// A shard keeps (and stores) only the active generator: graph stores
+// carry no "<p>lsh" sections, switching a graph shard to LSH rebuilds
+// the buckets from the matrix rows, and the Ask term counts live only
+// in the lexical postings.
+
+std::vector<uint8_t> StoreBytes(const TabBinService& svc) {
+  PagedSnapshotWriter w;
+  svc.AppendStore(&w);
+  return w.Assemble();
+}
+
+std::unique_ptr<TabBinService> BuiltService(int shards, IndexKind kind,
+                                            const std::string& removed) {
+  ServiceOptions options;
+  options.index_kind = kind;
+  auto svc = std::make_unique<TabBinService>(SharedSystem(), options, shards);
+  EXPECT_TRUE(svc->AddTables(SharedCorpus().corpus.tables).ok());
+  EXPECT_TRUE(svc->RemoveTable(removed).ok());
+  return svc;
+}
+
+bool IsLshSection(const std::string& name) {
+  return name.size() > 4 && name.compare(name.size() - 4, 4, ".lsh") == 0;
+}
+
+TEST(GeneratorStoreTest, GraphShardSwitchedToLshStoresLikeAnLshBuild) {
+  const std::string removed = SharedCorpus().corpus.tables[5].id();
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    auto lsh = BuiltService(shards, kIndexLsh, removed);
+    auto graph = BuiltService(shards, kIndexHnsw, removed);
+    graph->SetIndexKind(kIndexLsh);
+    const std::vector<uint8_t> want = StoreBytes(*lsh);
+    EXPECT_TRUE(StoreBytes(*graph) == want)
+        << "LSH rebuilt from rows differs from the maintained one";
+    ExpectIdenticalService(*lsh, *graph);
+  }
+}
+
+TEST(GeneratorStoreTest, GraphStoreHasNoLshSectionAndOlderOnesStillLoad) {
+  const std::string removed = SharedCorpus().corpus.tables[5].id();
+  auto graph = BuiltService(3, kIndexHnsw, removed);
+  auto lsh = BuiltService(3, kIndexLsh, removed);
+  const std::vector<uint8_t> graph_bytes = StoreBytes(*graph);
+  const StoreSections graph_sections =
+      ReadStoreSections(graph_bytes, "graph_src");
+  for (const StoreSection& sec : graph_sections) {
+    EXPECT_FALSE(IsLshSection(sec.name)) << sec.name;
+  }
+
+  // A graph store as the previous writer laid it out: each shard's LSH
+  // indexes between its norms and its embedding blocks.
+  StoreSections with_lsh;
+  for (const StoreSection& sec : graph_sections) {
+    with_lsh.push_back(sec);
+    for (uint32_t i = 0; i < 3; ++i) {
+      if (sec.name != StoreShardPrefix(i) + "norms") continue;
+      bool spliced = false;
+      for (const StoreSection& l : ReadStoreSections(StoreBytes(*lsh), "l")) {
+        if (l.name != StoreShardPrefix(i) + "lsh") continue;
+        with_lsh.push_back(l);
+        spliced = true;
+      }
+      ASSERT_TRUE(spliced) << "shard " << i;
+    }
+  }
+  ASSERT_EQ(with_lsh.size(), graph_sections.size() + 3);
+  const std::vector<uint8_t> old_bytes = AssembleStore(with_lsh);
+  auto opened = OpenBytes(old_bytes, "graph_with_lsh");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_TRUE(opened.value().ValidateAll().ok());
+
+  auto loaded = LoadStoreBytes(old_bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectIdenticalService(*graph, *loaded.value());
+  EXPECT_TRUE(StoreBytes(*loaded.value()) == graph_bytes)
+      << "re-saved graph store still differs";
+
+  // The mapped graph shards rebuild their LSH indexes from the mapped
+  // rows, tombstoned ones included.
+  loaded.value()->SetIndexKind(kIndexLsh);
+  EXPECT_TRUE(StoreBytes(*loaded.value()) == StoreBytes(*lsh));
+  ExpectIdenticalService(*lsh, *loaded.value());
+}
+
+// Compact re-inserts the survivors with term lists read back from the
+// postings; the result must be what a fresh build over the survivors
+// (in slot order) stores, for either generator.
+TEST(GeneratorStoreTest, CompactedStoreEqualsFreshBuildOfSurvivors) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  const std::vector<std::string> removed = {tables[2].id(), tables[9].id()};
+  for (IndexKind kind : {kIndexLsh, kIndexHnsw}) {
+    for (int shards : {1, 3}) {
+      SCOPED_TRACE(std::string(kind == kIndexHnsw ? "hnsw" : "lsh") +
+                   " shards " + std::to_string(shards));
+      ServiceOptions options;
+      options.index_kind = kind;
+      TabBinService svc(SharedSystem(), options, shards);
+      ASSERT_TRUE(svc.AddTables(tables).ok());
+      for (const std::string& id : removed) {
+        ASSERT_TRUE(svc.RemoveTable(id).ok());
+      }
+      ASSERT_TRUE(svc.Compact().ok());
+
+      std::vector<Table> survivors;
+      for (const Table& t : tables) {
+        if (std::find(removed.begin(), removed.end(), t.id()) ==
+            removed.end()) {
+          survivors.push_back(t);
+        }
+      }
+      TabBinService fresh(SharedSystem(), options, shards);
+      ASSERT_TRUE(fresh.AddTables(survivors).ok());
+      EXPECT_TRUE(StoreBytes(svc) == StoreBytes(fresh));
+      ExpectIdenticalService(fresh, svc);
+    }
+  }
 }
 
 }  // namespace

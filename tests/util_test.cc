@@ -247,22 +247,6 @@ TEST(SerializeTest, ReadPastEndFails) {
   EXPECT_FALSE(r.ReadU64().ok());
 }
 
-TEST(SerializeTest, FileRoundTrip) {
-  const std::string path = "/tmp/tabbin_serialize_test.bin";
-  BinaryWriter w;
-  w.WriteString("checkpoint");
-  w.WriteF32Vector({4.0f, 5.0f});
-  ASSERT_TRUE(w.ToFile(path).ok());
-  auto r = BinaryReader::FromFile(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().ReadString().value(), "checkpoint");
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, MissingFileFails) {
-  EXPECT_FALSE(BinaryReader::FromFile("/nonexistent/x.bin").ok());
-}
-
 // A borrowing reader parses bytes it does not own (a mapped snapshot
 // section); it must be indistinguishable from an owning reader over the
 // same bytes, except that TakeBuffer has to copy.
