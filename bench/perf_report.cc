@@ -2,7 +2,8 @@
 //
 // Runs the serving-path micro-workloads (kernel candidate scoring, the
 // int8 quantized first-pass scan vs the float scan, the blocked GEMM,
-// LSH hashing, encoder forward passes, TabBinService queries and
+// LSH hashing, the encoder's GELU and attention softmax, encoder
+// forward passes, TabBinService queries and
 // incremental writes, plus snapshot cold start: v2 mapped open vs v2
 // heap open) with a self-contained timer — no google-benchmark
 // dependency, so the binary builds everywhere the library does — and
@@ -687,6 +688,48 @@ int Run(const std::string& out_path) {
   cfg.max_seq_len = 96;
   auto sys = std::make_shared<TabBiNSystem>(
       TabBiNSystem::Create(corpus.corpus.tables, cfg));
+
+  // --- Encoder elementwise stages at encoder shape --------------------
+  // One 67-token sequence (the ladder_large average) through the bench
+  // geometry: GELU over the [67, 72] FFN intermediate, and 67-wide
+  // attention rows under a visibility bias that keeps 42.6% of the
+  // entries (0 visible, -1e9 masked). Each call restores its input
+  // first; that copy is included and costs well under 1% of either row.
+  {
+    constexpr size_t kTokens = 67, kInter = 72;
+    Rng erng(61);
+    std::vector<float> gelu_in(kTokens * kInter);
+    for (auto& x : gelu_in) x = static_cast<float>(erng.Gaussian()) * 2.0f;
+    std::vector<float> gelu_buf(gelu_in.size());
+    const double gelu_ns = TimeNs([&] {
+      std::copy(gelu_in.begin(), gelu_in.end(), gelu_buf.begin());
+      kernels::GeluInPlace(gelu_buf.data(), gelu_buf.size());
+      return static_cast<double>(gelu_buf[0]);
+    });
+    results.push_back(Report("gelu_ns_per_elem",
+                             gelu_ns / static_cast<double>(gelu_in.size()),
+                             0, 1));
+
+    std::vector<float> scores(kTokens * kTokens), bias(kTokens * kTokens);
+    for (size_t i = 0; i < scores.size(); ++i) {
+      scores[i] = static_cast<float>(erng.Gaussian()) * 3.0f;
+      const bool diagonal = i / kTokens == i % kTokens;
+      bias[i] = diagonal || erng.Bernoulli(0.426) ? 0.0f : -1e9f;
+    }
+    std::vector<float> rows(scores.size());
+    const float scale = 1.0f / std::sqrt(18.0f);
+    const double softmax_ns = TimeNs([&] {
+      std::copy(scores.begin(), scores.end(), rows.begin());
+      for (size_t r = 0; r < kTokens; ++r) {
+        kernels::ScaledSoftmaxRow(rows.data() + r * kTokens,
+                                  bias.data() + r * kTokens, kTokens, scale);
+      }
+      return static_cast<double>(rows[0]);
+    });
+    results.push_back(Report("softmax_ns_per_row",
+                             softmax_ns / static_cast<double>(kTokens), 0,
+                             1));
+  }
 
   const double encode_ns = TimeNs([&] {
     return static_cast<double>(

@@ -8,6 +8,8 @@
 #if defined(__x86_64__) || defined(__i386__)
 #define TABBIN_KERNELS_X86 1
 #include <immintrin.h>
+
+#include "tensor/libm_avx2.h"
 #endif
 
 #if defined(__aarch64__)
@@ -64,6 +66,43 @@ void BatchedQuantizedDotRowsScalar(const int8_t* q, const int8_t* codes,
     out[i] = QuantizedDotScalar(q, codes + static_cast<size_t>(rows[i]) * cols,
                                 cols);
   }
+}
+
+// The encoder's elementwise transcendental stages. Every level but AVX2
+// runs these; the AVX2 level runs ports that return the same bits
+// (tensor/libm_avx2.h).
+
+void GeluInPlaceScalar(float* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    float v = x[i];
+    float inner = kGeluC * (v + 0.044715f * v * v * v);
+    x[i] = 0.5f * v * (1.0f + std::tanh(inner));
+  }
+}
+
+// Every float x below this has std::exp(x) == 0.0f exactly (the float
+// exp underflows to zero below about -103.97), so skipping the call
+// there changes no bit. Masked attention entries sit near -1e9.
+constexpr float kExpIsZeroBelow = -1000.0f;
+
+void ScaledSoftmaxRowScalar(float* row, const float* bias, size_t n,
+                            float scale) {
+  float maxv = -1e30f;
+  for (size_t c = 0; c < n; ++c) {
+    float v = row[c] * scale;
+    if (bias != nullptr) v += bias[c];
+    row[c] = v;
+    if (v > maxv) maxv = v;
+  }
+  float sum = 0.0f;
+  for (size_t c = 0; c < n; ++c) {
+    const float d = row[c] - maxv;
+    const float e = d < kExpIsZeroBelow ? 0.0f : std::exp(d);
+    row[c] = e;
+    sum += e;
+  }
+  const float inv = 1.0f / (sum + 1e-12f);
+  for (size_t c = 0; c < n; ++c) row[c] *= inv;
 }
 
 #if TABBIN_KERNELS_X86
@@ -579,23 +618,26 @@ struct KernelTable {
   int32_t (*qdot)(const int8_t*, const int8_t*, size_t);
   void (*qdot_rows)(const int8_t*, const int8_t*, size_t, const int*, size_t,
                     int32_t*);
+  void (*gelu)(float*, size_t);
+  void (*softmax_row)(float*, const float*, size_t, float);
 };
 
-constexpr KernelTable kScalarTable = {DotScalar, AxpyScalar, GemmScalar,
-                                      QuantizedDotScalar,
-                                      BatchedQuantizedDotRowsScalar};
+constexpr KernelTable kScalarTable = {
+    DotScalar, AxpyScalar, GemmScalar, QuantizedDotScalar,
+    BatchedQuantizedDotRowsScalar, GeluInPlaceScalar, ScaledSoftmaxRowScalar};
 
 const KernelTable& TableFor(Dispatch d) {
 #if TABBIN_KERNELS_X86
-  static constexpr KernelTable kAvx2Table = {DotAvx2, AxpyAvx2, GemmAvx2,
-                                             QuantizedDotAvx2,
-                                             BatchedQuantizedDotRowsAvx2};
+  static constexpr KernelTable kAvx2Table = {
+      DotAvx2, AxpyAvx2, GemmAvx2, QuantizedDotAvx2,
+      BatchedQuantizedDotRowsAvx2, libm_avx2::GeluInPlace,
+      libm_avx2::ScaledSoftmaxRow};
   if (d == Dispatch::kAvx2) return kAvx2Table;
 #endif
 #if TABBIN_KERNELS_NEON
-  static constexpr KernelTable kNeonTable = {DotNeon, AxpyNeon, GemmNeon,
-                                             QuantizedDotNeon,
-                                             BatchedQuantizedDotRowsNeon};
+  static constexpr KernelTable kNeonTable = {
+      DotNeon, AxpyNeon, GemmNeon, QuantizedDotNeon,
+      BatchedQuantizedDotRowsNeon, GeluInPlaceScalar, ScaledSoftmaxRowScalar};
   if (d == Dispatch::kNeon) return kNeonTable;
 #endif
   (void)d;
@@ -766,6 +808,12 @@ void BatchedQuantizedDotRows(const int8_t* q, const int8_t* codes,
   ActiveTable().qdot_rows(q, codes, cols, rows, nrows, out);
 }
 
+void GeluInPlace(float* x, size_t n) { ActiveTable().gelu(x, n); }
+
+void ScaledSoftmaxRow(float* row, const float* bias, size_t n, float scale) {
+  ActiveTable().softmax_row(row, bias, n, scale);
+}
+
 float DotAt(Dispatch d, const float* a, const float* b, size_t n) {
   return TableFor(d).dot(a, b, n);
 }
@@ -803,6 +851,13 @@ void BatchedCosineRowsAt(Dispatch d, const float* q, float inv_q,
 int32_t QuantizedDotAt(Dispatch d, const int8_t* a, const int8_t* b,
                        size_t n) {
   return TableFor(d).qdot(a, b, n);
+}
+
+void GeluInPlaceAt(Dispatch d, float* x, size_t n) { TableFor(d).gelu(x, n); }
+
+void ScaledSoftmaxRowAt(Dispatch d, float* row, const float* bias, size_t n,
+                        float scale) {
+  TableFor(d).softmax_row(row, bias, n, scale);
 }
 
 }  // namespace kernels

@@ -96,6 +96,36 @@ void BatchedCosineRows(const float* q, float inv_q, const float* m,
 /// separately.
 void Gemm(const float* A, const float* B, float* C, int n, int k, int m);
 
+// --- Encoder transcendentals ------------------------------------------
+// GELU and the attention row softmax of the transformer encoder. The
+// scalar and NEON levels call std::tanh / std::exp. The AVX2 level
+// evaluates both functions with lane-wise ports of glibc's x86-64 float
+// code (tensor/libm_avx2.h): fdlibm `tanhf` with its `expm1f`, and the
+// table-driven `expf` as glibc's FMA variant computes it. The ports
+// return glibc's own bits (tanh for every float; exp for every float in
+// [-1000, 0], and +0 below it, as the scalar softmax), so on glibc x86-64
+// these kernels give the same bits at every level and the tape and
+// tape-free encoders stay bit-identical. Two rules keep that true:
+//   - the ports are compiled with FP contraction off (-ffp-contract=off
+//     on libm_avx2.cc only), so no multiply-add fuses unless glibc's
+//     own build fuses it, and then the port fuses it explicitly;
+//   - everything around the function calls runs in the scalar code's
+//     operation order, and the softmax row sum stays one ascending
+//     scalar chain.
+// tests/kernels_test.cc samples the match in tier 1 and names the
+// running glibc on a mismatch; tests/libm_sweep.cc checks tanh on all
+// 2^32 floats and exp on every float in [-1000, 0].
+
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+/// \brief x[i] = 0.5 x (1 + tanh(kGeluC (x + 0.044715 x^3))), in place.
+void GeluInPlace(float* x, size_t n);
+
+/// \brief One attention row, in place: v = row[c] * scale (+ bias[c] if
+/// bias is non-null), then exp(v - max v), divided by (sum + 1e-12f).
+/// The tape's Scale -> SoftmaxRows, in the same float operations.
+void ScaledSoftmaxRow(float* row, const float* bias, size_t n, float scale);
+
 // --- Int8 scalar-quantized tier ----------------------------------------
 // The fast first-pass scorer behind the two-stage scan -> rerank query
 // path: embedding rows are stored a second time as per-row affine int8
@@ -174,6 +204,9 @@ void BatchedCosineRowsAt(Dispatch d, const float* q, float inv_q,
                          float* out);
 int32_t QuantizedDotAt(Dispatch d, const int8_t* a, const int8_t* b,
                        size_t n);
+void GeluInPlaceAt(Dispatch d, float* x, size_t n);
+void ScaledSoftmaxRowAt(Dispatch d, float* row, const float* bias, size_t n,
+                        float scale);
 
 }  // namespace kernels
 }  // namespace tabbin

@@ -11,35 +11,15 @@ namespace tabbin {
 
 namespace {
 
-// Every float x below this has std::exp(x) == 0.0f exactly (the float
-// exp underflows to zero below about -103.97), so skipping the call
-// there changes no bit. Masked attention entries sit near -1e9.
-constexpr float kExpIsZeroBelow = -1000.0f;
-
 // Scale -> SoftmaxRows(scores, bias) of the tape, in place over
 // s [n, n]: the same float operations in the same order.
 void ScaledSoftmaxRowsInPlace(float* s, const float* bias, int n,
                               float scale) {
   for (int r = 0; r < n; ++r) {
-    float* row = s + static_cast<size_t>(r) * n;
-    const float* brow =
-        bias == nullptr ? nullptr : bias + static_cast<size_t>(r) * n;
-    float maxv = -1e30f;
-    for (int c = 0; c < n; ++c) {
-      float v = row[c] * scale;
-      if (brow != nullptr) v += brow[c];
-      row[c] = v;
-      if (v > maxv) maxv = v;
-    }
-    float sum = 0.0f;
-    for (int c = 0; c < n; ++c) {
-      const float d = row[c] - maxv;
-      const float e = d < kExpIsZeroBelow ? 0.0f : std::exp(d);
-      row[c] = e;
-      sum += e;
-    }
-    const float inv = 1.0f / (sum + 1e-12f);
-    for (int c = 0; c < n; ++c) row[c] *= inv;
+    kernels::ScaledSoftmaxRow(
+        s + static_cast<size_t>(r) * n,
+        bias == nullptr ? nullptr : bias + static_cast<size_t>(r) * n,
+        static_cast<size_t>(n), scale);
   }
 }
 

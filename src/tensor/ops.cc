@@ -352,16 +352,9 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return result;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
-
 void GeluForward(const float* x, size_t n, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    float v = x[i];
-    float inner = kGeluC * (v + 0.044715f * v * v * v);
-    out[i] = 0.5f * v * (1.0f + std::tanh(inner));
-  }
+  if (out != x) std::copy(x, x + n, out);
+  kernels::GeluInPlace(out, n);
 }
 
 Tensor Gelu(const Tensor& x) {
@@ -376,9 +369,10 @@ Tensor Gelu(const Tensor& x) {
       xi->EnsureGrad();
       for (size_t i = 0; i < oi->grad.size(); ++i) {
         float v = xi->data[i];
-        float inner = kGeluC * (v + 0.044715f * v * v * v);
+        float inner = kernels::kGeluC * (v + 0.044715f * v * v * v);
         float t = std::tanh(inner);
-        float dt = (1.0f - t * t) * kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+        float dt = (1.0f - t * t) * kernels::kGeluC *
+                   (1.0f + 3.0f * 0.044715f * v * v);
         float dgelu = 0.5f * (1.0f + t) + 0.5f * v * dt;
         xi->grad[i] += oi->grad[i] * dgelu;
       }

@@ -1,16 +1,24 @@
 // SIMD kernel layer: dispatch resolution, SIMD-vs-scalar numerical
-// agreement, batched-vs-pairwise bit-identity, and the EmbeddingMatrix
-// inverse-norm cache that the batched cosine paths depend on.
+// agreement, batched-vs-pairwise bit-identity, the AVX2 tanh/exp ports
+// against libm, and the EmbeddingMatrix inverse-norm cache that the
+// batched cosine paths depend on.
 #include "tensor/kernels.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 #include "gtest/gtest.h"
 #include "tensor/embedding_matrix.h"
+#include "tensor/libm_avx2.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -255,6 +263,212 @@ TEST(KernelAgreementTest, GemmSimdIsBitIdenticalToFmaChain) {
         ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
             << n << "x" << k << "x" << m << " at (" << i << "," << j
             << "): " << got << " vs fma chain " << want;
+      }
+    }
+  }
+}
+
+// --- Encoder transcendentals: the AVX2 ports return libm's bits ------
+// The AVX2 level evaluates tanh and exp with lane-wise ports of glibc's
+// float code (tensor/libm_avx2.h); the scalar level calls std::tanh and
+// std::exp. Every comparison is memcmp, NaN payloads included. A libm
+// that rounds differently must fail here, loudly, never pass silently:
+// each failure names the running libm. tests/libm_sweep.cc covers every
+// input; these sample it cheaply enough for tier 1.
+
+std::string LibmName() {
+#if defined(__GLIBC__)
+  return std::string("glibc ") + gnu_get_libc_version();
+#else
+  return "a libm that is not glibc";
+#endif
+}
+
+bool HaveAvx2() { return kernels::Detect(false) == Dispatch::kAvx2; }
+
+#if TABBIN_LIBM_AVX2
+
+namespace port = kernels::libm_avx2;
+
+float FromBits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+uint32_t ToBits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// Runs the AVX2 port over `in` and counts the outputs whose bits differ
+// from `reference`; the first few are reported individually.
+size_t CountLibmMismatches(const char* name,
+                           void (*port)(const float*, float*, size_t),
+                           float (*reference)(float),
+                           const std::vector<float>& in) {
+  std::vector<float> out(in.size());
+  port(in.data(), out.data(), in.size());
+  size_t bad = 0;
+  for (size_t i = 0; i < in.size(); ++i) {
+    const float want = reference(in[i]);
+    if (std::memcmp(&want, &out[i], sizeof(float)) == 0) continue;
+    if (++bad <= 5) {
+      ADD_FAILURE() << std::hex << name << "(0x" << ToBits(in[i])
+                    << ") = 0x" << ToBits(out[i]) << ", but libm gives 0x"
+                    << ToBits(want) << " (" << LibmName() << ")";
+    }
+  }
+  return bad;
+}
+
+float StdTanh(float x) { return std::tanh(x); }
+float StdExp(float x) { return std::exp(x); }
+
+// Bit patterns center - radius .. center + radius, with and without the
+// sign bit.
+void AddWindow(std::vector<float>* in, uint32_t center, uint32_t radius) {
+  for (uint32_t u = center - radius; u != center + radius + 1; ++u) {
+    in->push_back(FromBits(u & 0x7fffffffu));
+    in->push_back(FromBits(u | 0x80000000u));
+  }
+}
+
+// Zeros, infinities and NaNs (quiet, signalling, either sign).
+void AddSpecials(std::vector<float>* in) {
+  for (uint32_t u : {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u,
+                     0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff800001u,
+                     0x7fa00000u, 0x7fffffffu, 0xffffffffu}) {
+    in->push_back(FromBits(u));
+  }
+}
+
+TEST(LibmPortTest, TanhMatchesLibmOnEvery97thFloat) {
+  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2+FMA on this hardware";
+  constexpr uint64_t kStride = 97, kChunk = 1 << 16;
+  size_t bad = 0;
+  std::vector<float> in;
+  for (uint64_t u = 0; u <= 0xffffffffull;) {
+    in.clear();
+    for (; u <= 0xffffffffull && in.size() < kChunk; u += kStride) {
+      in.push_back(FromBits(static_cast<uint32_t>(u)));
+    }
+    bad += CountLibmMismatches("tanh", port::Tanh, StdTanh, in);
+  }
+  EXPECT_EQ(bad, 0u) << "tanh mismatches against " << LibmName();
+}
+
+// Dense windows around every branch of fdlibm tanhf and of the expm1f it
+// calls with 2|x|: each cut-off c of expm1f sits at |x| = c / 2, which is
+// c's bit pattern with the exponent lowered by one.
+TEST(LibmPortTest, TanhMatchesLibmAroundEveryBranch) {
+  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2+FMA on this hardware";
+  constexpr uint32_t kRadius = 4096, kHalve = 0x00800000;
+  std::vector<float> in;
+  // tanhf: 2^-55, 1 and 22.
+  for (uint32_t c : {0x24000000u, 0x3f800000u, 0x41b00000u}) {
+    AddWindow(&in, c, kRadius);
+  }
+  // expm1f: 2^-25, 0.5 ln2, 1.5 ln2 and 27 ln2.
+  for (uint32_t c : {0x33000000u, 0x3eb17219u, 0x3f851592u, 0x4195b844u}) {
+    AddWindow(&in, c - kHalve, kRadius);
+  }
+  // expm1f's reduction k = (int)(2|x| / ln2 + 0.5) steps at
+  // 2|x| = (k - 0.5) ln2; k = 23 and k = 57 switch its reconstruction.
+  for (int k = 3; k <= 64; ++k) {
+    const float x = (static_cast<float>(k) - 0.5f) / 1.4426950216e+00f / 2;
+    AddWindow(&in, ToBits(x), kRadius);
+  }
+  AddSpecials(&in);
+  EXPECT_EQ(CountLibmMismatches("tanh", port::Tanh, StdTanh, in), 0u)
+      << "tanh mismatches against " << LibmName();
+}
+
+TEST(LibmPortTest, ExpMatchesLibmOnEvery7thFloatDownToMinus1000) {
+  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2+FMA on this hardware";
+  constexpr uint32_t kStride = 7, kChunk = 1 << 16;
+  const uint32_t last = ToBits(-1000.0f);  // negative floats ascend
+  size_t bad = 0;
+  std::vector<float> in = {0.0f};
+  for (uint64_t u = ToBits(-0.0f); u <= last;) {
+    for (; u <= last && in.size() < kChunk; u += kStride) {
+      in.push_back(FromBits(static_cast<uint32_t>(u)));
+    }
+    bad += CountLibmMismatches("exp", port::Exp, StdExp, in);
+    in.clear();
+  }
+  EXPECT_EQ(bad, 0u) << "exp mismatches against " << LibmName();
+}
+
+// Windows at exp's special-case thresholds: log(0x1p-150) (zero below),
+// log(0x1p-149) (the smallest subnormal below), the subnormal onset
+// log(FLT_MIN), zero, and the overflow threshold. Plus the one input in
+// [-1000, 0] where an unfused argument reduction (x 32/ln2 rounded
+// before k is subtracted) returns a different float.
+TEST(LibmPortTest, ExpMatchesLibmAtItsThresholds) {
+  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2+FMA on this hardware";
+  constexpr uint32_t kRadius = 4096;
+  std::vector<float> in = {-0x1.f8cbb2p+5f};
+  for (float c : {-0x1.9fe368p6f, -0x1.9d1d9ep6f,
+                  std::log(std::numeric_limits<float>::min()), 0.0f,
+                  0x1.62e42ep6f}) {
+    AddWindow(&in, ToBits(std::fabs(c)) + kRadius * (c == 0.0f), kRadius);
+  }
+  AddSpecials(&in);
+  EXPECT_EQ(CountLibmMismatches("exp", port::Exp, StdExp, in), 0u)
+      << "exp mismatches against " << LibmName();
+}
+
+#endif  // TABBIN_LIBM_AVX2
+
+// GELU and the softmax row against the scalar level (std::tanh and
+// std::exp inside): every length 0-17 covers the masked 8-lane tails.
+TEST(LibmPortTest, GeluMatchesScalarAtEveryTailLength) {
+  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2+FMA on this hardware";
+  Rng rng(49);
+  for (size_t n = 0; n <= 17; ++n) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<float> want = RandomVec(&rng, n, 3.0f);
+      if (n > 0 && trial == 0) want[n - 1] = -0.0f;
+      std::vector<float> got = want;
+      kernels::GeluInPlaceAt(Dispatch::kScalar, want.data(), n);
+      kernels::GeluInPlaceAt(Dispatch::kAvx2, got.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0)
+            << "n=" << n << " i=" << i << ": " << got[i] << " vs scalar "
+            << want[i] << " (" << LibmName() << ")";
+      }
+    }
+  }
+}
+
+TEST(LibmPortTest, SoftmaxRowMatchesScalar) {
+  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2+FMA on this hardware";
+  Rng rng(50);
+  const float scale = 1.0f / std::sqrt(18.0f);
+  for (size_t n = 1; n <= 97; ++n) {
+    // No bias; an attention visibility bias (0 visible, -1e9 masked,
+    // with the diagonal-like first entry always visible); random biases.
+    std::vector<float> visibility(n), random_bias = RandomVec(&rng, n, 2.0f);
+    for (size_t c = 0; c < n; ++c) {
+      visibility[c] = c == 0 || rng.Bernoulli(0.426) ? 0.0f : -1e9f;
+    }
+    const char* const kinds[] = {"none", "visibility", "random"};
+    const float* const biases[] = {nullptr, visibility.data(),
+                                   random_bias.data()};
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<float> want = RandomVec(&rng, n, 4.0f);
+      std::vector<float> got = want;
+      kernels::ScaledSoftmaxRowAt(Dispatch::kScalar, want.data(),
+                                  biases[kind], n, scale);
+      kernels::ScaledSoftmaxRowAt(Dispatch::kAvx2, got.data(), biases[kind],
+                                  n, scale);
+      for (size_t c = 0; c < n; ++c) {
+        ASSERT_EQ(std::memcmp(&want[c], &got[c], sizeof(float)), 0)
+            << "n=" << n << " c=" << c << " bias " << kinds[kind] << ": "
+            << got[c] << " vs scalar " << want[c] << " ("
+            << LibmName() << ")";
       }
     }
   }
